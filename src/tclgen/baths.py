@@ -371,6 +371,9 @@ class GaussianCorrelatorTable:
             self.mvec = np.array([bath.mean_at(t) for t in self.times],
                                  dtype=complex)
         self._m1 = m1
+        self._pairs = {}       # sign string -> (m1,) or (m1, m1) array
+        self._slices = {}      # (signs, j1) -> (m1, m1) array
+        self._rows = {}        # (signs, prefix) -> (m1,) vector
 
     def _pair(self, sa, sb, ia, ib):
         # chain-ordered centered pair; ia/ib may be ints or index arrays
@@ -410,20 +413,34 @@ class GaussianCorrelatorTable:
         return self.mvec.copy()
 
     def pair_free(self, signs):
-        if len(signs) == 1:
-            return self.mvec if signs == PLUS else np.zeros(self._m1, complex)
-        a = np.arange(self._m1)[:, None]
-        b = np.arange(self._m1)[None, :]
-        return self._chain(signs, (a, b))
+        tab = self._pairs.get(signs)
+        if tab is None:
+            if len(signs) == 1:
+                tab = (self.mvec if signs == PLUS
+                       else np.zeros(self._m1, complex))
+            else:
+                a = np.arange(self._m1)[:, None]
+                b = np.arange(self._m1)[None, :]
+                tab = self._chain(signs, (a, b))
+            self._pairs[signs] = tab
+        return tab
 
     def triple_slice(self, signs, j1):
-        b = np.arange(self._m1)[:, None]
-        c = np.arange(self._m1)[None, :]
-        return self._chain(signs, (j1, b, c))
+        key = (signs, j1)
+        tab = self._slices.get(key)
+        if tab is None:
+            b = np.arange(self._m1)[:, None]
+            c = np.arange(self._m1)[None, :]
+            tab = self._slices[key] = self._chain(signs, (j1, b, c))
+        return tab
 
     def chain_rows(self, signs, prefix):
-        last = np.arange(self._m1)
-        return self._chain(signs, tuple(prefix) + (last,))
+        key = (signs, tuple(prefix))
+        row = self._rows.get(key)
+        if row is None:
+            last = np.arange(self._m1)
+            row = self._rows[key] = self._chain(signs, key[1] + (last,))
+        return row
 
     def value(self, signs, indices):
         return complex(self._chain(signs, tuple(indices)))

@@ -43,6 +43,19 @@ def _require_keys(section, mapping, required, optional=()):
         raise ConfigError(f"missing keys in {section}: {sorted(missing)}")
 
 
+def _integer(section, value):
+    """An integer config value; floats and booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{section} must be an integer, got {value!r}")
+    return value
+
+
+def _boolean(section, value):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{section} must be true or false, got {value!r}")
+    return value
+
+
 def _parse_matrix(section, raw, dim=None):
     """Row-major matrix of [re, im] pairs."""
     arr = np.asarray(raw, dtype=float)
@@ -66,15 +79,17 @@ def _parse_bath(cfg):
     if kind == "boson-mode":
         _require_keys("bath(boson-mode)", cfg, ("type", "omega", "n_max"),
                       ("beta", "shift"))
-        return baths.boson_mode_bath(float(cfg["omega"]), int(cfg["n_max"]),
+        return baths.boson_mode_bath(float(cfg["omega"]),
+                                     _integer("bath.n_max", cfg["n_max"]),
                                      beta=cfg.get("beta"),
                                      shift=float(cfg.get("shift", 0.0)))
     if kind == "dephasing-qubit":
         # vacuum single mode; the canonical dephasing environment
         _require_keys("bath(dephasing-qubit)", cfg, ("type",),
                       ("omega", "n_max"))
-        return baths.boson_mode_bath(float(cfg.get("omega", 1.0)),
-                                     int(cfg.get("n_max", 6)), beta=None)
+        return baths.boson_mode_bath(
+            float(cfg.get("omega", 1.0)),
+            _integer("bath.n_max", cfg.get("n_max", 6)), beta=None)
     if kind == "gaussian":
         _require_keys("bath(gaussian)", cfg, ("type",),
                       ("two_point", "two_point_csv", "omega", "beta"))
@@ -128,10 +143,10 @@ def load_config(path):
     mcfg = cfg["model"]
     _require_keys("model", mcfg, ("d_S", "H_S", "A", "g"),
                   ("rho0", "observable"))
-    d_s = int(mcfg["d_S"])
+    d_s = _integer("model.d_S", mcfg["d_S"])
     gcfg = cfg["grid"]
     _require_keys("grid", gcfg, ("T", "M"))
-    order = int(cfg["order"])
+    order = _integer("order", cfg["order"])
     if not 1 <= order <= 4:
         raise ConfigError("order must be in 1..4")
     parsed = {
@@ -145,9 +160,9 @@ def load_config(path):
                        if "observable" in mcfg else None),
         "bath_cfg": cfg["bath"],
         "T": float(gcfg["T"]),
-        "M": int(gcfg["M"]),
+        "M": _integer("grid.M", gcfg["M"]),
         "order": order,
-        "adjoint": bool(cfg.get("adjoint", False)),
+        "adjoint": _boolean("adjoint", cfg.get("adjoint", False)),
         "path": cfg.get("path", "matrix"),
         "couplings": cfg.get("couplings"),
     }

@@ -1,7 +1,11 @@
 """Time integration of the truncated master equation and its adjoint.
 
 The generator is precomputed on the full grid and interpolated linearly at
-the half steps of a classical fourth-order one-step scheme.  Health monitors
+the half steps of a classical Runge-Kutta (RK4) one-step scheme.  The
+trapezoid quadrature of the generator and its linear interpolation are both
+O(h^2), so the end-to-end error is O(h^2): halving h divides the final-state
+error by about four (measured observed order 2.0-2.1 from M=50 to 400), not
+by sixteen.  Health monitors
 (trace deviation, hermiticity residual, minimum eigenvalue) are diagnostics
 only: nothing is renormalized or clamped.
 """
@@ -56,7 +60,7 @@ def _monitors(payload, trace_ref):
 
 
 def _rk4_run(l_tab, x0, h):
-    """Classical RK4 with the generator interpolated linearly mid-step."""
+    """RK4 steps with the generator interpolated linearly mid-step."""
     steps = len(l_tab) - 1
     d2 = x0.size
     out = np.empty((steps + 1, d2), dtype=complex)
@@ -85,16 +89,22 @@ def _validate_state(rho0):
     return rho0
 
 
+def _quad_for(grid, N, quad):
+    """The quadrature to use on ``grid``: a fresh one, or ``quad`` checked."""
+    if quad is None:
+        return QuadratureConfig(grid, max_order=max(N, 1))
+    if quad.grid is not grid and not np.array_equal(quad.grid.times,
+                                                    grid.times):
+        raise ValueError("quadrature grid does not match the propagation grid")
+    return quad
+
+
 def propagate_state(model, rho0, grid, N, quad=None, path=MATRIX_RECURSION):
     """Integrate the truncated master equation for the state."""
     rho0 = _validate_state(rho0)
     if rho0.shape[0] != model.d_S:
         raise ValueError("rho0 dimension does not match the model")
-    if quad is None:
-        quad = QuadratureConfig(grid, max_order=max(N, 1))
-    elif quad.grid is not grid and not np.array_equal(quad.grid.times,
-                                                      grid.times):
-        raise ValueError("quadrature grid does not match the propagation grid")
+    quad = _quad_for(grid, N, quad)
     work = replace(model, adjoint=False) if model.adjoint else model
     l_tab = generator_table(work, quad, N, path)
     flat = _rk4_run(l_tab, rho0, grid.h)
@@ -114,8 +124,7 @@ def propagate_observable(model, O0, grid, N, quad=None, path=MATRIX_RECURSION):
         raise ValueError("O0 dimension does not match the model")
     if isinstance(model.bath, ExactBath) and not model.bath.is_stationary():
         raise ValueError("adjoint propagation requires a stationary bath")
-    if quad is None:
-        quad = QuadratureConfig(grid, max_order=max(N, 1))
+    quad = _quad_for(grid, N, quad)
     work = model if model.adjoint else replace(model, adjoint=True)
     l_tab = generator_table(work, quad, N, path)
     flat = _rk4_run(l_tab, O0, grid.h)

@@ -14,6 +14,32 @@ These conventions make the term-expansion path, the matrix-recursion path
 and the Van Kampen evaluation agree to round-off, not merely to quadrature
 accuracy.
 
+Exact-bath clusters (one sweep per sign string, all endpoints at once): a
+cluster of m slots, after the adjoint remap below, is carried from the
+inside out as running joint system x bath states of shape
+(d^2, d^2, d_E, d_E).  ``Op_k(j)`` multiplies the system factor of slot k at
+t_j into the state (on the right for adjoint chains) and applies
+``(phi_j Y +- Y phi_j)/2`` to its bath factor.  With the interior weight
+``wb(0) = h/2, wb(j>0) = h`` and the corner weight ``c(0) = 0,
+c(j>0) = h/2``::
+
+    X_{m-1}(j) = D_{m-1}(j) = Op_{m-1}(j)[rho_E]
+    X_k(j) = Op_k(j)[E_{k+1}(j) + wb(j)/2 X_{k+1}(j)]
+    D_k(j) = Op_k(j)[E_{k+1}(j) + c(j)/2 D_{k+1}(j)]
+    E_k(j) = sum_{j' < j} wb(j') X_k(j')
+
+X is the slot state for an interior point, D the one whose latest time is
+the endpoint itself, and E the strict running sum.  The free cluster at t_i
+is ``Tr_E[E_0(i) + c(i) D_0(i)]`` and the pinned one is
+``Tr_E Op_0(i)[E_1(i) + c(i) D_1(i)]``; this is the same iterated trapezoid
+with tie and edge weights, to round-off.  Both share slots 1..m-1, so one
+sweep j = 0..M gives both.  A nonzero cluster has a PLUS outer bath sign,
+so slot 0 is only ever needed traced and costs no d_E^3 work.  A sweep
+costs O(m M (d_S^6 d_E^2 + d_S^4 d_E^3)) time and keeps only the running
+states in memory, against O(M^3) to O(M^4) per endpoint for cell-by-cell
+correlator tables.  Gaussian baths still go through the correlator tables
+of ``baths``, one branch per cluster size up to 4.
+
 Adjoint evaluation: an adjoint-kind cluster (last slot of every cluster
 MINUS) is evaluated as the transpose dual of the corresponding forward
 chain: the system factors multiply in reversed slot order (the pinned,
@@ -78,9 +104,16 @@ def apply_superop(mat, rho):
     return unvec(mat @ vec(rho), d)
 
 
-@dataclass
+def _frozen_array(x):
+    """Complex copy that cannot be written through, for frozen specs."""
+    arr = np.array(x, dtype=complex)
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True)
 class Grid:
-    """Uniform time grid with M+1 points on [0, T]."""
+    """Uniform time grid with M+1 points on [0, T]; immutable."""
 
     T: float
     M: int
@@ -88,7 +121,10 @@ class Grid:
     def __post_init__(self):
         if self.T <= 0 or self.M < 1:
             raise ValueError("grid needs T > 0 and M >= 1")
-        self.times = np.linspace(0.0, self.T, self.M + 1)
+        object.__setattr__(self, "T", float(self.T))
+        times = np.linspace(0.0, self.T, self.M + 1)
+        times.setflags(write=False)
+        object.__setattr__(self, "times", times)
 
     @property
     def h(self):
@@ -108,12 +144,14 @@ class QuadratureConfig:
             raise ValueError("grid too coarse: require M >= 2*max_order")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelSpec:
     """System matrices plus bath and scalar coupling.
 
     ``bath`` carries the bare coupling operator; the scalar ``g`` is folded
-    into it once per engine so every order-n object scales as g^n.
+    into it once per engine so every order-n object scales as g^n.  The spec
+    is immutable (engines are cached per spec); derive variants with
+    ``dataclasses.replace``.
     """
 
     H_S: np.ndarray
@@ -123,8 +161,8 @@ class ModelSpec:
     adjoint: bool = False
 
     def __post_init__(self):
-        self.H_S = np.asarray(self.H_S, dtype=complex)
-        self.A = np.asarray(self.A, dtype=complex)
+        object.__setattr__(self, "H_S", _frozen_array(self.H_S))
+        object.__setattr__(self, "A", _frozen_array(self.A))
         for name in ("H_S", "A"):
             mat = getattr(self, name)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -138,7 +176,7 @@ class ModelSpec:
             raise ValueError("system dimension must be >= 2")
         if np.imag(complex(self.g)) != 0.0:
             raise ValueError("coupling g must be real")
-        self.g = float(np.real(complex(self.g)))
+        object.__setattr__(self, "g", float(np.real(complex(self.g))))
 
     @property
     def d_S(self):
@@ -176,6 +214,19 @@ def build_system_superops(model, grid):
     return {PLUS: lmul + rmul, MINUS: lmul - rmul}
 
 
+def _remap(signs, kind):
+    """Slot signs, bath signs, parity and order flag of a cluster.
+
+    An adjoint cluster is the transpose dual of a forward chain: reversed
+    factor order, reversed bath string and a parity factor from the
+    commutator duals.
+    """
+    if kind == ADJOINT:
+        parity = (-1) ** signs.count(PLUS)
+        return signs[::-1], flip_signs(signs)[::-1], parity, True
+    return signs, flip_signs(signs), 1, False
+
+
 def _theta_tilde(m1):
     th = np.zeros((m1, m1))
     idx = np.arange(m1)
@@ -201,6 +252,8 @@ class GeneratorEngine:
                                      self.grid.times)
         self.theta = _theta_tilde(self.grid.M + 1)
         self._weights = {}
+        self._exact = isinstance(model.bath, ExactBath)
+        self._sweeps = {}
         self._clusters = {}
         self._mu = {}
         self._gen = {}
@@ -225,6 +278,13 @@ class GeneratorEngine:
 
     def cluster_value(self, signs, pinned, i, kind):
         """Ordered quadrature of one cluster as a (d^2, d^2) matrix."""
+        self._check_index(i)
+        if self._exact:
+            key = (signs, kind)
+            vals = self._sweeps.get(key)
+            if vals is None:
+                vals = self._sweeps[key] = self._chain_sweep(signs, kind)
+            return vals[pinned][i]
         key = (signs, pinned, i, kind)
         val = self._clusters.get(key)
         if val is None:
@@ -232,20 +292,73 @@ class GeneratorEngine:
             self._clusters[key] = val
         return val
 
+    def _chain_sweep(self, signs, kind):
+        """One exact-bath cluster at every endpoint, free and pinned.
+
+        Returns the pair (free, pinned) of (M+1, d^2, d^2) arrays, so that
+        indexing it with the ``pinned`` flag selects one.  The inner slots
+        are carried as joint system x bath states of shape
+        (d^2, d^2, d_E, d_E), shared by both variants; see the module
+        docstring for the recurrence.  Adjoint chains multiply on the right,
+        so they are swept transposed in the system indices.
+        """
+        asigns, dsig, eta, rev = _remap(signs, kind)
+        m1, d2, m = self.grid.M + 1, self.d2, len(signs)
+        free = np.zeros((m1, d2, d2), dtype=complex)
+        pinned = np.zeros((m1, d2, d2), dtype=complex)
+        if dsig[0] == MINUS:
+            return free, pinned
+        h = self.grid.h
+        phi = self.ctab.phi_tab
+        rho = self.ctab.bath.rho_E
+        de = rho.shape[0]
+        fac = [self.a_tab[s].transpose(0, 2, 1) if rev else self.a_tab[s]
+               for s in asigns]
+        bsign = [1.0 if s == PLUS else -1.0 for s in dsig]
+
+        def op(k, j, y):
+            z = (fac[k][j] @ y.reshape(d2, -1)).reshape(d2, d2, de, de)
+            return 0.5 * (phi[j] @ z + bsign[k] * (z @ phi[j]))
+
+        def traced_top(j, y):
+            # Tr_E Op_0(j)[y]; the outer bath sign is PLUS, so the bath
+            # factor traces to Tr_E[phi_j y] and slot 0 needs no d_E^3 work
+            tr = y.reshape(d2 * d2, -1) @ phi[j].T.reshape(-1)
+            return fac[0][j] @ tr.reshape(d2, d2)
+
+        run = [None] + [np.zeros((d2, d2, de, de), dtype=complex)
+                        for _ in range(1, m)]
+        xs = [None] * m
+        top_run = np.zeros((d2, d2), dtype=complex)
+        if m == 1:
+            xin = din = pin = np.eye(d2)[:, :, None, None] * rho
+        for j in range(m1):
+            wbar = 0.5 * h if j == 0 else h
+            corner = 0.0 if j == 0 else 0.5 * h
+            if m > 1:
+                inner = 0.5 * (phi[j] @ rho + bsign[-1] * (rho @ phi[j]))
+                x = dcorner = xs[-1] = fac[-1][j][:, :, None, None] * inner
+                for k in range(m - 2, 0, -1):
+                    dcorner = op(k, j, run[k + 1] + 0.5 * corner * dcorner)
+                    x = xs[k] = op(k, j, run[k + 1] + 0.5 * wbar * x)
+                xin = run[1] + 0.5 * wbar * x
+                din = run[1] + 0.5 * corner * dcorner
+                pin = run[1] + corner * dcorner
+            free[j] = top_run + corner * traced_top(j, din)
+            pinned[j] = traced_top(j, pin)
+            top_run += wbar * traced_top(j, xin)
+            for k in range(1, m):
+                run[k] += wbar * xs[k]
+        if rev:
+            free, pinned = free.transpose(0, 2, 1), pinned.transpose(0, 2, 1)
+        return eta * free, eta * pinned
+
     def _cluster_value(self, signs, pinned, i, kind):
-        self._check_index(i)
+        """Gaussian-bath cluster quadrature from correlator tables."""
         m = len(signs)
         if m > 4:
             raise ValueError("clusters beyond size 4 are not supported")
-        if kind == ADJOINT:
-            # transpose dual: reversed factor order, reversed bath string,
-            # parity factor from the commutator duals
-            asigns = signs[::-1]
-            dsig = flip_signs(signs)[::-1]
-            eta = (-1) ** signs.count(PLUS)
-            rev = True
-        else:
-            asigns, dsig, eta, rev = signs, flip_signs(signs), 1, False
+        asigns, dsig, eta, rev = _remap(signs, kind)
         a = self.a_tab
         sl = slice(0, i + 1)
         w = self.weights(i)

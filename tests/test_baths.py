@@ -301,3 +301,27 @@ class TestCorrelatorTables:
         want = ordered_correlation(
             gb, CorrelationQuery("+-", (times[5], times[2])))
         assert abs(pair[5, 2] - want) < 1e-13
+
+    def test_gaussian_tables_are_built_once(self):
+        gb = GaussianBath(thermal_mode_two_point(1.0, beta=1.2),
+                          mean=lambda tau: 0.3)
+        times = np.linspace(0, 2.0, 7)
+        tab = correlator_table(gb, times)
+        calls = []
+        chain = tab._chain
+        tab._chain = lambda *args: calls.append(args) or chain(*args)
+        queries = [("pair_free", ("+-",)), ("pair_free", ("+",)),
+                   ("triple_slice", ("+-+", 5)),
+                   ("chain_rows", ("+--+", (6, 4, 2)))]
+        first = [getattr(tab, meth)(*args) for meth, args in queries]
+        n_built = len(calls)
+        again = [getattr(tab, meth)(*args) for meth, args in queries]
+        assert len(calls) == n_built
+        assert all(a is b for a, b in zip(first, again))
+        want = ordered_correlation(
+            gb, CorrelationQuery("+-+", (times[5], times[3], times[1])))
+        assert abs(first[2][3, 1] - want) < 1e-13
+        want = ordered_correlation(
+            gb, CorrelationQuery("+--+", (times[6], times[4], times[2],
+                                          times[0])))
+        assert abs(first[3][0] - want) < 1e-13

@@ -256,3 +256,22 @@ class TestErrorPaths:
         cfg["order"] = 7
         assert main(["compare", "--config", config_path(cfg),
                      "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("key,value", [
+        ("order", 2.7), ("order", True), ("order", "2"),
+        ("adjoint", "false"), ("adjoint", 0),
+    ])
+    def test_mistyped_top_level_value_is_config_error(self, config_path,
+                                                      tmp_path, key, value):
+        cfg = dephasing_config()
+        cfg[key] = value
+        cfg["model"]["observable"] = cplx(SZ)
+        assert main(["propagate", "--config", config_path(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
+
+    def test_mistyped_grid_size_is_config_error(self, config_path, tmp_path):
+        cfg = dephasing_config()
+        cfg["grid"]["M"] = 40.5
+        assert main(["propagate", "--config", config_path(cfg),
+                     "--out", str(tmp_path / "x")]) == 2

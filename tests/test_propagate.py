@@ -9,7 +9,7 @@ from tclgen.propagate import (
     propagate_state,
     trajectory_to_csv,
 )
-from tclgen.superops import Grid, ModelSpec, commutator_super
+from tclgen.superops import Grid, ModelSpec, QuadratureConfig, commutator_super
 
 rng = np.random.default_rng(41)
 
@@ -146,3 +146,31 @@ def test_trajectory_invariants_and_csv():
                         "trace_dev,herm_residual,min_eig")
     assert len(lines) == 12
     assert all(len(line.split(",")) == 10 for line in lines[1:])
+
+
+def test_observable_checks_the_quadrature_grid():
+    bath = boson_mode_bath(1.0, 6, shift=0.7)
+    model = ModelSpec(0.5 * SZ + 0.2 * SX, SX, 0.3, bath)
+    grid = Grid(5.0, 60)
+    quad = QuadratureConfig(Grid(3.0, 60), max_order=2)
+    with pytest.raises(ValueError, match="grid"):
+        propagate_observable(model, SZ, grid, 2, quad=quad)
+    with pytest.raises(ValueError, match="grid"):
+        propagate_state(model, np.diag([0.8, 0.2]), grid, 2, quad=quad)
+    same = QuadratureConfig(Grid(5.0, 60), max_order=2)
+    np.testing.assert_allclose(
+        propagate_observable(model, SZ, grid, 2, quad=same).final,
+        propagate_observable(model, SZ, grid, 2).final, atol=1e-14)
+
+
+def test_observed_convergence_order_is_two():
+    # quadrature and generator interpolation are O(h^2): successive
+    # differences of the final state shrink by about 4 per grid halving
+    bath = boson_mode_bath(1.0, 6, shift=0.7)
+    model = ModelSpec(0.5 * SZ + 0.2 * SX, SX, 0.3, bath)
+    rho0 = np.array([[0.8, 0.3 - 0.1j], [0.3 + 0.1j, 0.2]])
+    finals = [propagate_state(model, rho0, Grid(5.0, m), 2).final
+              for m in (50, 100, 200)]
+    ratio = (np.abs(finals[1] - finals[0]).max()
+             / np.abs(finals[2] - finals[1]).max())
+    assert 1.9 <= np.log2(ratio) <= 2.5

@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -365,6 +368,88 @@ class TestClusterQuadratureOracle:
         got = eng.cluster_value(signs, pinned, 8, kind)
         want = self.brute_cluster(eng, signs, pinned, 8, kind)
         np.testing.assert_allclose(got, want, atol=1e-13)
+
+
+def admissible_signs(m, kind):
+    """Sign strings of size m whose bath correlator can be nonzero."""
+    out = []
+    for tail in itertools.product("-+", repeat=m - 1):
+        signs = "-" + "".join(tail)
+        out.append(signs[::-1] if kind == ADJOINT else signs)
+    return out
+
+
+class TestChainSweep:
+    """The exact-bath sweep against tuple sums at every endpoint."""
+
+    @pytest.mark.parametrize("kind", [SCHRODINGER, ADJOINT])
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_every_endpoint_matches_tuple_sum(self, pinned, kind):
+        model = rand_model(g=0.5)
+        quad = QuadratureConfig(Grid(0.6, 8), max_order=4)
+        eng = engine_for(model, quad)
+        brute = TestClusterQuadratureOracle.brute_cluster
+        for m in (1, 2, 3, 4):
+            for signs in admissible_signs(m, kind):
+                for i in range(quad.grid.M + 1):
+                    got = eng.cluster_value(signs, pinned, i, kind)
+                    want = brute(eng, signs, pinned, i, kind)
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13,
+                                               err_msg=f"{signs} at {i}")
+
+    def test_inadmissible_strings_vanish(self):
+        model = rand_model(g=0.5)
+        eng = engine_for(model, QuadratureConfig(Grid(0.6, 8), max_order=4))
+        for signs, kind in (("+-", SCHRODINGER), ("-+", ADJOINT)):
+            for pinned in (True, False):
+                assert not eng.cluster_value(signs, pinned, 8, kind).any()
+
+    def test_exact_bath_does_not_query_correlator_tables(self, monkeypatch):
+        from tclgen.baths import ExactCorrelatorTable
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("correlator table queried")
+
+        for meth in ("pair_free", "triple_slice", "chain_rows"):
+            monkeypatch.setattr(ExactCorrelatorTable, meth, forbidden)
+        model = rand_model()
+        for kind_model in (model, replace(model, adjoint=True)):
+            quad = QuadratureConfig(Grid(0.8, 12), max_order=4)
+            tab = generator_table(kind_model, quad, 4)
+            assert np.isfinite(tab).all() and np.abs(tab).max() > 0
+
+
+class TestFrozenSpecs:
+    def test_model_and_grid_cannot_change_under_a_cached_engine(self):
+        bath = boson_mode_bath(1.0, 6, shift=0.7)
+        model = ModelSpec(0.5 * SZ + 0.2 * SX, SX, 0.1, bath)
+        grid = Grid(5.0, 20)
+        quad = QuadratureConfig(grid, max_order=2)
+        before = assemble_generator(2, 20, model, quad)
+        with pytest.raises(FrozenInstanceError):
+            model.g = 0.5
+        with pytest.raises(ValueError):
+            model.A[0, 1] = 2.0
+        with pytest.raises(FrozenInstanceError):
+            grid.T = 3.0
+        with pytest.raises(ValueError):
+            grid.times[3] = 0.0
+        np.testing.assert_array_equal(
+            assemble_generator(2, 20, model, quad), before)
+        # a derived spec gets its own engine, even on the same quadrature
+        stronger = replace(model, g=0.5)
+        after = assemble_generator(2, 20, stronger, quad)
+        assert np.abs(after - before).max() > 0.1
+        np.testing.assert_allclose(
+            after, assemble_generator(2, 20, stronger,
+                                      QuadratureConfig(grid, max_order=2)),
+            atol=1e-14)
+
+    def test_inputs_are_copied(self):
+        h_s = 0.5 * SZ
+        model = ModelSpec(h_s, SX, 0.1, qubit_bath(1.0))
+        h_s[0, 0] = 7.0
+        assert model.H_S[0, 0] == 0.5
 
 
 class TestOrderFour:
