@@ -17,6 +17,7 @@ quadrature layer assigns half weight to tied grid points).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +35,35 @@ def _check_hermitian(mat, name):
         raise ValueError(f"{name} is not Hermitian within {HERM_TOL}")
 
 
-@dataclass
+def _frozen_array(x):
+    """Complex copy that cannot be written through, for frozen specs."""
+    arr = np.array(x, dtype=complex)
+    arr.setflags(write=False)
+    return arr
+
+
+def interaction_picture(H, X, times):
+    """``exp(iHt) X exp(-iHt)`` for every t in ``times``, shape (T, d, d).
+
+    ``X`` is one (d, d) matrix or a (T, d, d) stack, one matrix per time.
+    ``H`` is diagonalised once; each rotation is then a phase factor in its
+    eigenbasis and two matrix products, O(T d^3) in all.  Negative times
+    give the Schroedinger-picture evolution ``exp(-iHt) X exp(iHt)``.
+    """
+    e, v = np.linalg.eigh(H)
+    vh = v.conj().T
+    t = np.asarray(times, dtype=float)
+    phases = np.exp(1j * np.subtract.outer(e, e)[None] * t[:, None, None])
+    return v @ ((vh @ X @ v) * phases) @ vh
+
+
+@dataclass(frozen=True)
 class ExactBath:
     """Finite-dimensional bath: Hamiltonian, coupling operator, state.
 
-    ``phi`` already includes the system-bath coupling constant.
+    ``phi`` already includes the system-bath coupling constant.  The bath is
+    immutable and holds read-only copies of its matrices, so engines cached
+    on a model can never see it change.
     """
 
     H_E: np.ndarray
@@ -46,11 +71,9 @@ class ExactBath:
     rho_E: np.ndarray
 
     def __post_init__(self):
-        self.H_E = np.asarray(self.H_E, dtype=complex)
-        self.phi = np.asarray(self.phi, dtype=complex)
-        self.rho_E = np.asarray(self.rho_E, dtype=complex)
         for name in ("H_E", "phi", "rho_E"):
-            mat = getattr(self, name)
+            mat = _frozen_array(getattr(self, name))
+            object.__setattr__(self, name, mat)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError(f"{name} must be a square matrix")
             if mat.shape != self.H_E.shape:
@@ -63,43 +86,21 @@ class ExactBath:
                     else np.linalg.eigvalsh(self.rho_E))
         if spectrum.min() < -1e-10:
             raise ValueError("rho_E must be positive semidefinite")
-        self._eig = None
-        self._phi_cache = {}
 
     @property
     def dim(self):
         return self.H_E.shape[0]
-
-    @property
-    def _energies(self):
-        if self._eig is None:
-            self._eig = np.linalg.eigh(self.H_E)
-        return self._eig[0]
-
-    @property
-    def _modes(self):
-        if self._eig is None:
-            self._eig = np.linalg.eigh(self.H_E)
-        return self._eig[1]
 
     def is_stationary(self, tol=STATIONARY_TOL):
         comm = self.H_E @ self.rho_E - self.rho_E @ self.H_E
         return np.linalg.norm(comm) <= tol
 
     def phi_at(self, tau):
-        """Interaction-picture coupling operator, cached per time."""
-        tau = float(tau)
-        cached = self._phi_cache.get(tau)
-        if cached is not None:
-            return cached
-        v, e = self._modes, self._energies
-        phases = np.exp(1j * np.subtract.outer(e, e) * tau)
-        out = v @ ((v.conj().T @ self.phi @ v) * phases) @ v.conj().T
-        self._phi_cache[tau] = out
-        return out
+        """Interaction-picture coupling operator at one time."""
+        return interaction_picture(self.H_E, self.phi, [tau])[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaussianBath:
     """Bath defined by its two-point function C(tau, s) = <phi(tau) phi(s)>.
 
@@ -167,6 +168,35 @@ def all_pairings(items):
             yield [(first, other)] + tail
 
 
+def wick_sum(n, pair, mean=None, mean_slots=()):
+    """Gaussian moment of n slots as a sum over pairings (Isserlis/Wick).
+
+    Every slot is either contracted with one other slot, contributing
+    ``pair(a, b)`` for a < b, or, if it is in ``mean_slots``, left alone and
+    contributing ``mean(a)``; ``mean=None`` leaves every slot contracted.
+    Values may be scalars or arrays that broadcast together.  A moment with
+    no complete pairing is exactly 0.
+    """
+    total = 0.0 + 0.0j
+    sizes = range(len(mean_slots) + 1) if mean is not None else (0,)
+    for taken in itertools.chain.from_iterable(
+            itertools.combinations(mean_slots, r) for r in sizes):
+        rest = [i for i in range(n) if i not in taken]
+        if len(rest) % 2 == 1:
+            continue
+        prefactor = 1.0 + 0.0j
+        for i in taken:
+            prefactor = prefactor * mean(i)
+        subtotal = 0.0 + 0.0j
+        for pairing in all_pairings(rest):
+            prod = 1.0 + 0.0j
+            for a, b in pairing:
+                prod = prod * pair(a, b)
+            subtotal = subtotal + prod
+        total = total + prefactor * subtotal
+    return total
+
+
 def isserlis_correlation(two_point, ordered_times):
     """Plain Gaussian moment via the pairing sum.
 
@@ -174,56 +204,21 @@ def isserlis_correlation(two_point, ordered_times):
     b in operator order; odd lengths give exactly 0 (zero mean assumed).
     """
     times = list(ordered_times)
-    if len(times) % 2 == 1:
-        return 0.0 + 0.0j
-    total = 0.0 + 0.0j
-    for pairing in all_pairings(range(len(times))):
-        prod = 1.0 + 0.0j
-        for a, b in pairing:
-            prod *= two_point(times[a], times[b])
-        total += prod
-    return total
+    return complex(wick_sum(len(times),
+                            lambda a, b: two_point(times[a], times[b])))
 
 
-def _gauss_pair_value(bath, signs, times, kind):
-    """Centered pair functional of two chain-ordered phi^+/- factors."""
-    (sa, sb), (ta, tb) = signs, times
-    if kind == STANDARD and sa == MINUS:
-        return 0.0 + 0.0j
-    if kind == ADJOINT and sb == MINUS:
-        return 0.0 + 0.0j
+def _pair_value(sa, sb, c_ab, c_ba, kind):
+    """Centered pair functional of two chain-ordered phi^+/- factors.
+
+    ``c_ab`` and ``c_ba`` are the centered C(t_a, t_b) and C(t_b, t_a);
+    they may be arrays.
+    """
+    if (sa if kind == STANDARD else sb) == MINUS:
+        return 0.0
     flip = sb if kind == STANDARD else sa
     sgn = 1.0 if flip == PLUS else -1.0
-    return 0.5 * (bath.centered(ta, tb) + sgn * bath.centered(tb, ta))
-
-
-def _gauss_chain_value(bath, signs, times, kind):
-    n = len(signs)
-    plus_slots = [i for i, s in enumerate(signs) if s == PLUS]
-    total = 0.0 + 0.0j
-    # every '+' slot may contribute its scalar mean instead of an operator
-    import itertools as _it
-    for r in range(len(plus_slots) + 1):
-        if bath.mean is None and r > 0:
-            break
-        for taken in _it.combinations(plus_slots, r):
-            rest = [i for i in range(n) if i not in taken]
-            if len(rest) % 2 == 1:
-                continue
-            prefactor = 1.0 + 0.0j
-            for i in taken:
-                prefactor *= bath.mean_at(times[i])
-            subtotal = 0.0 + 0.0j
-            for pairing in all_pairings(rest):
-                prod = 1.0 + 0.0j
-                for a, b in pairing:
-                    prod *= _gauss_pair_value(
-                        bath, (signs[a], signs[b]), (times[a], times[b]), kind)
-                    if prod == 0.0:
-                        break
-                subtotal += prod
-            total += prefactor * subtotal
-    return total
+    return 0.5 * (c_ab + sgn * c_ba)
 
 
 def ordered_correlation(bath, query):
@@ -233,15 +228,24 @@ def ordered_correlation(bath, query):
     traces; ADJOINT applies it to the identity and pairs with rho_E.  The
     1/2-per-factor prefactor is included.
     """
-    signs, times = query.bath_signs, query.times
+    signs, times, kind = query.bath_signs, query.times, query.kind
     if isinstance(bath, GaussianBath):
-        return _gauss_chain_value(bath, signs, times, query.kind)
-    if query.kind == ADJOINT and not bath.is_stationary():
+        # every '+' slot may contribute its scalar mean instead of an operator
+        plus_slots = [i for i, s in enumerate(signs) if s == PLUS]
+        return complex(wick_sum(
+            len(signs),
+            lambda a, b: _pair_value(signs[a], signs[b],
+                                     bath.centered(times[a], times[b]),
+                                     bath.centered(times[b], times[a]), kind),
+            None if bath.mean is None else (lambda i: bath.mean_at(times[i])),
+            plus_slots))
+    if kind == ADJOINT and not bath.is_stationary():
         raise ValueError("adjoint correlators require a stationary bath state")
-    x = bath.rho_E if query.kind == STANDARD else np.eye(bath.dim, dtype=complex)
-    for sign, tau in zip(reversed(signs), reversed(times)):
-        x = _apply_phi(bath.phi_at(tau), sign, x)
-    if query.kind == STANDARD:
+    x = bath.rho_E if kind == STANDARD else np.eye(bath.dim, dtype=complex)
+    phis = interaction_picture(bath.H_E, bath.phi, times)
+    for sign, phi in zip(reversed(signs), phis[::-1]):
+        x = _apply_phi(phi, sign, x)
+    if kind == STANDARD:
         return complex(np.trace(x))
     return complex(np.trace(bath.rho_E @ x))
 
@@ -265,11 +269,7 @@ class ExactCorrelatorTable:
         self.times = np.asarray(times, dtype=float)
         m1 = len(self.times)
         de = bath.dim
-        phases = np.exp(1j * np.subtract.outer(bath._energies, bath._energies)
-                        [None, :, :] * self.times[:, None, None])
-        tilde = bath._modes.conj().T @ bath.phi @ bath._modes
-        v = bath._modes
-        self.phi_tab = np.einsum("ij,tjk,lk->til", v, tilde * phases, v.conj())
+        self.phi_tab = interaction_picture(bath.H_E, bath.phi, self.times)
         self._inner = {}       # sign -> batch of chain states over last index
         self._pairs = {}       # 2-sign string -> (m1, m1) array
         self._rows = {}        # (signs, prefix) -> (m1,) vector
@@ -375,39 +375,17 @@ class GaussianCorrelatorTable:
         self._slices = {}      # (signs, j1) -> (m1, m1) array
         self._rows = {}        # (signs, prefix) -> (m1,) vector
 
-    def _pair(self, sa, sb, ia, ib):
-        # chain-ordered centered pair; ia/ib may be ints or index arrays
-        if sa == MINUS:
-            return np.zeros(np.broadcast(ia, ib).shape) + 0.0j
-        sgn = 1.0 if sb == PLUS else -1.0
-        return 0.5 * (self.cc[ia, ib] + sgn * self.cc[ib, ia])
-
     def _chain(self, signs, idx):
         """Chain value with grid-index arguments; entries may be arrays."""
-        n = len(signs)
-        shape = np.broadcast(*idx).shape if n > 1 else np.shape(idx[0])
-        total = np.zeros(shape, dtype=complex)
+        cc, mvec = self.cc, self.mvec
         plus_slots = [i for i, s in enumerate(signs) if s == PLUS]
-        import itertools as _it
-        for r in range(len(plus_slots) + 1):
-            if self.bath.mean is None and r > 0:
-                break
-            for taken in _it.combinations(plus_slots, r):
-                rest = [i for i in range(n) if i not in taken]
-                if len(rest) % 2 == 1:
-                    continue
-                pre = np.ones(shape, dtype=complex)
-                for i in taken:
-                    pre = pre * self.mvec[idx[i]]
-                sub = np.zeros(shape, dtype=complex)
-                for pairing in all_pairings(rest):
-                    prod = np.ones(shape, dtype=complex)
-                    for a, b in pairing:
-                        prod = prod * self._pair(signs[a], signs[b],
-                                                 idx[a], idx[b])
-                    sub = sub + prod
-                total = total + pre * sub
-        return total
+        val = wick_sum(
+            len(signs),
+            lambda a, b: _pair_value(signs[a], signs[b], cc[idx[a], idx[b]],
+                                     cc[idx[b], idx[a]], STANDARD),
+            None if self.bath.mean is None else (lambda i: mvec[idx[i]]),
+            plus_slots)
+        return np.zeros(np.broadcast(*idx).shape, dtype=complex) + val
 
     def moments(self):
         return self.mvec.copy()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from tclgen.baths import ExactBath
+from tclgen.baths import ExactBath, interaction_picture
 from tclgen.propagate import Trajectory, _monitors, propagate_state
 from tclgen.superops import apply_superop, evaluate_mu
 from tclgen.terms import ADJOINT, SCHRODINGER
@@ -56,25 +56,18 @@ class FullModel:
 
 
 def partial_trace_bath(x, d_s, d_e):
-    return np.einsum("aebe->ab", x.reshape(d_s, d_e, d_s, d_e))
+    """Tr_E of (..., d_s*d_e, d_s*d_e) operators; leading axes are a batch."""
+    x = np.asarray(x)
+    return np.einsum("...aebe->...ab",
+                     x.reshape(x.shape[:-2] + (d_s, d_e, d_s, d_e)))
 
 
 def exact_reduced_trajectory(full, grid):
     """Reduced interaction-picture state from full unitary evolution."""
-    e, v = np.linalg.eigh(full.H_total)
-    rho0_t = v.conj().T @ full.rho_total0 @ v
-    gaps = np.subtract.outer(e, e)
-    phases = np.exp(-1j * gaps[None, :, :] * grid.times[:, None, None])
-    rho_t = np.einsum("ij,tjk,lk->til", v, phases * rho0_t[None], v.conj())
-    reduced = np.einsum("taebe->tab",
-                        rho_t.reshape(-1, full.d_S, full.d_E,
-                                      full.d_S, full.d_E))
+    rho_t = interaction_picture(full.H_total, full.rho_total0, -grid.times)
+    reduced = partial_trace_bath(rho_t, full.d_S, full.d_E)
     # rotate back to the interaction picture with the system Hamiltonian
-    es, vs = np.linalg.eigh(full.model.H_S)
-    red_tilde = np.einsum("ji,tjk,kl->til", vs.conj(), reduced, vs)
-    sys_phases = np.exp(1j * np.subtract.outer(es, es)[None]
-                        * grid.times[:, None, None])
-    payload = np.einsum("ij,tjk,lk->til", vs, sys_phases * red_tilde, vs.conj())
+    payload = interaction_picture(full.model.H_S, reduced, grid.times)
     trace_dev, herm_residual, min_eig = _monitors(payload, 1.0)
     return Trajectory(grid.times.copy(), payload, trace_dev, herm_residual,
                       min_eig)

@@ -56,7 +56,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from tclgen.baths import ExactBath, GaussianBath, correlator_table
+from tclgen.baths import (
+    ExactBath,
+    GaussianBath,
+    _check_hermitian,
+    _frozen_array,
+    correlator_table,
+    interaction_picture,
+)
 from tclgen.terms import (
     ADJOINT,
     MINUS,
@@ -71,8 +78,6 @@ from tclgen.terms import (
 
 TERM_EXPANSION = "term_expansion"
 MATRIX_RECURSION = "matrix_recursion"
-
-HERM_TOL = 1e-12
 
 
 def vec(rho):
@@ -102,13 +107,6 @@ def anticommutator_super(x):
 def apply_superop(mat, rho):
     d = rho.shape[0]
     return unvec(mat @ vec(rho), d)
-
-
-def _frozen_array(x):
-    """Complex copy that cannot be written through, for frozen specs."""
-    arr = np.array(x, dtype=complex)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -167,9 +165,7 @@ class ModelSpec:
             mat = getattr(self, name)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError(f"{name} must be square")
-            if np.linalg.norm(mat - mat.conj().T) > HERM_TOL * max(
-                    1.0, np.linalg.norm(mat)):
-                raise ValueError(f"{name} is not Hermitian within {HERM_TOL}")
+            _check_hermitian(mat, name)
         if self.H_S.shape != self.A.shape:
             raise ValueError("H_S and A must share the system dimension")
         if self.d_S < 2:
@@ -202,11 +198,7 @@ def build_system_superops(model, grid):
 
     Interaction picture: A(tau) = exp(i H_S tau) A exp(-i H_S tau).
     """
-    e, v = np.linalg.eigh(model.H_S)
-    a_tilde = v.conj().T @ model.A @ v
-    phases = np.exp(1j * np.subtract.outer(e, e)[None, :, :]
-                    * grid.times[:, None, None])
-    a_t = np.einsum("ij,tjk,lk->til", v, a_tilde * phases, v.conj())
+    a_t = interaction_picture(model.H_S, model.A, grid.times)
     d = model.d_S
     eye = np.eye(d)
     lmul = np.einsum("tij,kl->tikjl", a_t, eye).reshape(-1, d * d, d * d)

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from tclgen.baths import (
     CorrelationQuery,
@@ -11,6 +14,7 @@ from tclgen.baths import (
     boson_mode_bath,
     correlator_table,
     heisenberg_phi,
+    interaction_picture,
     isserlis_correlation,
     ordered_correlation,
     qubit_bath,
@@ -123,6 +127,34 @@ class TestHeisenbergPhi:
         gb = GaussianBath(thermal_mode_two_point(1.0, beta=1.0))
         with pytest.raises(TypeError):
             heisenberg_phi(gb, 0.5)
+
+
+class TestInteractionPicture:
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(min_value=1, max_value=6),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           times=st.lists(st.floats(min_value=0.0, max_value=3.0),
+                          min_size=1, max_size=4))
+    def test_matches_expm_rotation(self, d, seed, times):
+        gen = np.random.default_rng(seed)
+
+        def herm():
+            x = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
+            return 0.5 * (x + x.conj().T)
+
+        h = herm()
+        ts = np.concatenate([times, -np.asarray(times)])
+        want_single, want_stack, stack = [], [], []
+        x = herm()
+        for t in ts:
+            u = expm(1j * t * h)
+            stack.append(herm())
+            want_single.append(u @ x @ u.conj().T)
+            want_stack.append(u @ stack[-1] @ u.conj().T)
+        np.testing.assert_allclose(interaction_picture(h, x, ts),
+                                   want_single, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(interaction_picture(h, np.array(stack), ts),
+                                   want_stack, rtol=0, atol=1e-12)
 
 
 class TestOrderedCorrelation:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from tclgen.baths import ExactBath, boson_mode_bath, qubit_bath
 from tclgen.oracle import (
@@ -81,6 +82,27 @@ class TestExactTrajectory:
         x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         red = partial_trace_bath(x, 2, 3)
         assert np.trace(red) == pytest.approx(np.trace(x))
+        batch = rng.normal(size=(4, 6, 6)) + 1j * rng.normal(size=(4, 6, 6))
+        red = partial_trace_bath(batch, 2, 3)
+        assert red.shape == (4, 2, 2)
+        for k in range(4):
+            np.testing.assert_array_equal(red[k],
+                                          partial_trace_bath(batch[k], 2, 3))
+
+    def test_wide_bath_final_state_matches_direct_expm(self):
+        # pins the sign convention: the state moves with exp(-iHt), the
+        # reduced state is rotated back with exp(+i H_S t)
+        model = ModelSpec(0.5 * SZ + 0.2 * SX, SX, 0.3,
+                          boson_mode_bath(1.0, 40, beta=1.0, shift=0.7))
+        rho0 = rand_state(2)
+        full = FullModel(model, rho0)
+        grid = Grid(2.0, 8)
+        got = exact_reduced_trajectory(full, grid).payload[-1]
+        u = expm(-1j * grid.T * full.H_total)
+        red = partial_trace_bath(u @ full.rho_total0 @ u.conj().T, 2, 41)
+        back = expm(1j * grid.T * model.H_S)
+        want = back @ red @ back.conj().T
+        assert np.abs(got - want).max() < 1e-12
 
     def test_desk_dimension_bound(self):
         bath = boson_mode_bath(1.0, 4095)

@@ -4,7 +4,13 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from tclgen.baths import GaussianBath, boson_mode_bath, qubit_bath, thermal_mode_two_point
+from tclgen.baths import (
+    ExactBath,
+    GaussianBath,
+    boson_mode_bath,
+    qubit_bath,
+    thermal_mode_two_point,
+)
 from tclgen.superops import (
     MATRIX_RECURSION,
     TERM_EXPANSION,
@@ -450,6 +456,26 @@ class TestFrozenSpecs:
         model = ModelSpec(h_s, SX, 0.1, qubit_bath(1.0))
         h_s[0, 0] = 7.0
         assert model.H_S[0, 0] == 0.5
+
+    def test_bath_cannot_change_under_a_cached_engine(self):
+        bath = boson_mode_bath(1.0, 6, shift=0.7)
+        model = ModelSpec(0.5 * SZ + 0.2 * SX, SX, 0.1, bath)
+        quad = QuadratureConfig(Grid(5.0, 20), max_order=2)
+        before = assemble_generator(2, 20, model, quad)
+        with pytest.raises(FrozenInstanceError):
+            bath.phi = 3 * bath.phi
+        for name in ("H_E", "phi", "rho_E"):
+            with pytest.raises(ValueError):
+                getattr(bath, name)[0, 1] = 2.0
+        gauss = GaussianBath(thermal_mode_two_point(1.0))
+        with pytest.raises(FrozenInstanceError):
+            gauss.mean = lambda tau: 0.3
+        np.testing.assert_array_equal(
+            assemble_generator(2, 20, model, quad), before)
+        phi = bath.phi.copy()
+        copied = ExactBath(bath.H_E, phi, bath.rho_E)
+        phi[0, 1] = 2.0
+        assert copied.phi[0, 1] == bath.phi[0, 1]
 
 
 class TestOrderFour:
