@@ -100,23 +100,45 @@ class ExactBath:
         return interaction_picture(self.H_E, self.phi, [tau])[0]
 
 
+def _broadcast_values(x, shape):
+    """Complex array of ``shape`` from a kernel value that broadcasts to it."""
+    return np.array(np.broadcast_to(x, shape), dtype=complex)
+
+
 @dataclass(frozen=True)
 class GaussianBath:
     """Bath defined by its two-point function C(tau, s) = <phi(tau) phi(s)>.
 
     ``mean`` is the first moment m(tau); omitted means identically zero.
-    Hermiticity of C is spot-checked on a small sample at construction.
+    Both are called with NumPy arrays of times as well as with scalars and
+    must broadcast like ufuncs (a constant may come back as a scalar), so
+    that a grid table is one call.  Broadcasting and the hermiticity of C
+    are spot-checked on a small sample at construction.
     """
 
     two_point: object
     mean: object = None
 
     def __post_init__(self):
-        rng = np.random.default_rng(7)
-        for tau, s in rng.uniform(0.0, 1.0, size=(4, 2)):
-            a, b = self.two_point(tau, s), self.two_point(s, tau)
-            if abs(a - np.conj(b)) > 1e-9 * max(1.0, abs(a)):
-                raise ValueError("two_point violates C(tau,s) = conj(C(s,tau))")
+        pts = np.random.default_rng(7).uniform(0.0, 1.0, size=4)
+        try:
+            grid = _broadcast_values(
+                self.two_point(pts[:, None], pts[None, :]), (4, 4))
+            means = _broadcast_values(
+                0.0 if self.mean is None else self.mean(pts), (4,))
+            single = [[complex(self.two_point(a, b)) for b in pts]
+                      for a in pts]
+            single_means = [self.mean_at(a) for a in pts]
+        except (TypeError, ValueError) as exc:
+            raise ValueError("two_point and mean must accept NumPy arrays "
+                             "of times and broadcast them") from exc
+        scale = 1e-9 * max(1.0, np.abs(grid).max())
+        if (np.abs(grid - single).max() > scale
+                or np.abs(means - single_means).max() > scale):
+            raise ValueError("two_point and mean must broadcast elementwise: "
+                             "arrays of times give other values than scalars")
+        if np.abs(grid - grid.conj().T).max() > scale:
+            raise ValueError("two_point violates C(tau,s) = conj(C(s,tau))")
 
     def mean_at(self, tau):
         return 0.0 if self.mean is None else complex(self.mean(tau))
@@ -261,119 +283,105 @@ def heisenberg_phi(bath, tau):
 # grid-bound correlator tables used by the quadrature kernels
 # ---------------------------------------------------------------------------
 
-class ExactCorrelatorTable:
-    """Vectorized correlator lookups keyed by grid indices, EXACT backend."""
+class _GridTable:
+    """Correlator tables on the grid, one cache for both backends.
+
+    A backend supplies ``_chain(signs, idx)``, the standard correlator of a
+    bath-sign string at grid indices that broadcast together.  A table fixes
+    the leading indices to ``prefix`` and leaves the last one or two free; it
+    is built by one ``_chain`` call and cached, so a repeated query returns
+    the same array.
+    """
 
     def __init__(self, bath, times):
         self.bath = bath
         self.times = np.asarray(times, dtype=float)
-        m1 = len(self.times)
-        de = bath.dim
-        self.phi_tab = interaction_picture(bath.H_E, bath.phi, self.times)
-        self._inner = {}       # sign -> batch of chain states over last index
-        self._pairs = {}       # 2-sign string -> (m1, m1) array
-        self._rows = {}        # (signs, prefix) -> (m1,) vector
-        self._slices = {}      # (signs, j1) -> (m1, m1) array
-        self._m1, self._de = m1, de
+        self._m1 = len(self.times)
+        self._tables = {}      # (signs, prefix) -> (m1,) or (m1, m1) array
 
-    def _innermost(self, sign):
-        batch = self._inner.get(sign)
-        if batch is None:
-            rho = self.bath.rho_E
-            left = np.einsum("tij,jk->tik", self.phi_tab, rho)
-            right = np.einsum("ij,tjk->tik", rho, self.phi_tab)
-            batch = 0.5 * (left + right) if sign == PLUS else 0.5 * (left - right)
-            self._inner[sign] = batch
-        return batch
-
-    def moments(self):
-        return self.pair_free("+")
+    def _table(self, signs, prefix):
+        key = (signs, tuple(prefix))
+        tab = self._tables.get(key)
+        if tab is None:
+            free = len(signs) - len(key[1])
+            if free not in (1, 2):
+                raise ValueError("a table leaves one or two indices free")
+            grid = np.arange(self._m1)
+            tab = self._chain(signs, key[1] + np.ix_(*[grid] * free))
+            self._tables[key] = tab
+        return tab
 
     def pair_free(self, signs):
         """Full grid table for a 1- or 2-sign string (leading index first)."""
-        tab = self._pairs.get(signs)
-        if tab is not None:
-            return tab
-        if signs[0] == MINUS:
-            shape = (self._m1,) * len(signs)
-            tab = np.zeros(shape, dtype=complex)
-        elif len(signs) == 1:
-            # leading '+', traced: 0.5 * Tr[(phi rho + rho phi)] = Tr[phi rho]
-            tab = np.einsum("tij,ji->t", self.phi_tab, self.bath.rho_E)
-        else:
-            y = self._innermost(signs[1])
-            tab = np.einsum("aij,cji->ac", self.phi_tab, y)
-        self._pairs[signs] = tab
-        return tab
+        return self._table(signs, ())
 
     def triple_slice(self, signs, j1):
         """(M+1, M+1) table over the trailing two indices, first index fixed."""
-        key = (signs, j1)
-        tab = self._slices.get(key)
-        if tab is not None:
-            return tab
-        if signs[0] == MINUS:
-            tab = np.zeros((self._m1, self._m1), dtype=complex)
-        else:
-            y = self._innermost(signs[2])
-            phi1 = self.phi_tab[j1]
-            tab = np.empty((self._m1, self._m1), dtype=complex)
-            chunk = max(1, 4_000_000 // (self._m1 * self._de * self._de))
-            for lo in range(0, self._m1, chunk):
-                hi = min(lo + chunk, self._m1)
-                blk = self.phi_tab[lo:hi]
-                z = 0.5 * (np.einsum("bij,cjk->bcik", blk, y)
-                           + (1 if signs[1] == PLUS else -1)
-                           * np.einsum("cij,bjk->bcik", y, blk))
-                tab[lo:hi] = np.einsum("ij,bcji->bc", phi1, z)
-            self._slices[key] = tab
-        return tab
+        return self._table(signs, (j1,))
 
     def chain_rows(self, signs, prefix):
-        """Vector over the last grid index with all earlier indices fixed."""
-        key = (signs, tuple(prefix))
-        row = self._rows.get(key)
-        if row is not None:
-            return row
-        if signs[0] == MINUS:
-            row = np.zeros(self._m1, dtype=complex)
-        else:
-            x = self._innermost(signs[-1])
-            for sign, j in zip(reversed(signs[1:-1]), reversed(prefix[1:])):
-                phi = self.phi_tab[j]
-                left = np.einsum("ij,tjk->tik", phi, x)
-                right = np.einsum("tij,jk->tik", x, phi)
-                x = 0.5 * (left + right) if sign == PLUS else 0.5 * (left - right)
-            row = np.einsum("ij,tji->t", self.phi_tab[prefix[0]], x)
-        self._rows[key] = row
-        return row
+        """Table over the one or two grid indices that follow ``prefix``."""
+        return self._table(signs, prefix)
 
     def value(self, signs, indices):
-        if len(signs) == 1:
-            return self.pair_free(signs)[indices[0]]
-        return self.chain_rows(signs, indices[:-1])[indices[-1]]
+        return complex(self._chain(signs, tuple(indices)))
 
 
-class GaussianCorrelatorTable:
+class ExactCorrelatorTable(_GridTable):
+    """Vectorized correlator lookups keyed by grid indices, EXACT backend."""
+
+    # chain states are built in batches of at most this many matrix elements
+    CHUNK = 4_000_000
+
+    def __init__(self, bath, times):
+        super().__init__(bath, times)
+        self.phi_tab = interaction_picture(bath.H_E, bath.phi, self.times)
+
+    def _chain(self, signs, idx):
+        """Chain value with broadcast grid-index arguments.
+
+        The phi^+/- factors act on rho_E innermost first, batched over the
+        grid points; a leading MINUS traces to exactly 0.
+        """
+        idx = np.broadcast_arrays(*idx)
+        out = np.zeros(idx[0].shape, dtype=complex)
+        if signs[0] == MINUS:
+            return out
+        flat, res = [j.reshape(-1) for j in idx], out.reshape(-1)
+        phi = self.phi_tab
+        chunk = max(1, self.CHUNK // self.bath.dim ** 2)
+        for lo in range(0, res.size, chunk):
+            part = slice(lo, lo + chunk)
+            x = self.bath.rho_E
+            for sign, j in zip(signs[:0:-1], flat[:0:-1]):
+                x = _apply_phi(phi[j[part]], sign, x)
+            # leading '+', traced: Tr[(phi x + x phi)/2] = Tr[phi x]
+            lead = phi[flat[0][part]]
+            res[part] = np.einsum("gij,gji->g", lead,
+                                  np.broadcast_to(x, lead.shape))
+        return out
+
+    # the query views sit in each backend's own namespace, where
+    # perfbench/tracer.py wraps them
+    pair_free = _GridTable.pair_free
+    triple_slice = _GridTable.triple_slice
+    chain_rows = _GridTable.chain_rows
+    value = _GridTable.value
+
+
+class GaussianCorrelatorTable(_GridTable):
     """Correlator lookups on the grid for the GAUSSIAN backend."""
 
     def __init__(self, bath, times):
-        self.bath = bath
-        self.times = np.asarray(times, dtype=float)
-        m1 = len(self.times)
-        self.cc = np.empty((m1, m1), dtype=complex)
-        for a in range(m1):
-            for b in range(m1):
-                self.cc[a, b] = bath.centered(self.times[a], self.times[b])
+        super().__init__(bath, times)
+        t, m1 = self.times, self._m1
+        self.cc = _broadcast_values(bath.two_point(t[:, None], t[None, :]),
+                                    (m1, m1))
         if bath.mean is None:
             self.mvec = np.zeros(m1, dtype=complex)
         else:
-            self.mvec = np.array([bath.mean_at(t) for t in self.times],
-                                 dtype=complex)
-        self._m1 = m1
-        self._pairs = {}       # sign string -> (m1,) or (m1, m1) array
-        self._slices = {}      # (signs, j1) -> (m1, m1) array
-        self._rows = {}        # (signs, prefix) -> (m1,) vector
+            self.mvec = _broadcast_values(bath.mean(t), (m1,))
+            self.cc -= np.multiply.outer(self.mvec, self.mvec)
 
     def _chain(self, signs, idx):
         """Chain value with grid-index arguments; entries may be arrays."""
@@ -387,41 +395,10 @@ class GaussianCorrelatorTable:
             plus_slots)
         return np.zeros(np.broadcast(*idx).shape, dtype=complex) + val
 
-    def moments(self):
-        return self.mvec.copy()
-
-    def pair_free(self, signs):
-        tab = self._pairs.get(signs)
-        if tab is None:
-            if len(signs) == 1:
-                tab = (self.mvec if signs == PLUS
-                       else np.zeros(self._m1, complex))
-            else:
-                a = np.arange(self._m1)[:, None]
-                b = np.arange(self._m1)[None, :]
-                tab = self._chain(signs, (a, b))
-            self._pairs[signs] = tab
-        return tab
-
-    def triple_slice(self, signs, j1):
-        key = (signs, j1)
-        tab = self._slices.get(key)
-        if tab is None:
-            b = np.arange(self._m1)[:, None]
-            c = np.arange(self._m1)[None, :]
-            tab = self._slices[key] = self._chain(signs, (j1, b, c))
-        return tab
-
-    def chain_rows(self, signs, prefix):
-        key = (signs, tuple(prefix))
-        row = self._rows.get(key)
-        if row is None:
-            last = np.arange(self._m1)
-            row = self._rows[key] = self._chain(signs, key[1] + (last,))
-        return row
-
-    def value(self, signs, indices):
-        return complex(self._chain(signs, tuple(indices)))
+    pair_free = _GridTable.pair_free
+    triple_slice = _GridTable.triple_slice
+    chain_rows = _GridTable.chain_rows
+    value = _GridTable.value
 
 
 def correlator_table(bath, times):
@@ -489,7 +466,11 @@ def thermal_mode_two_point(omega, beta=None, g=1.0):
 
 
 def two_point_from_samples(tau_grid, s_grid, values):
-    """Bilinear interpolation of a sampled two-point function."""
+    """Bilinear interpolation of a sampled two-point function.
+
+    The kernel broadcasts its time arguments.  Outside the sampled grid it
+    extrapolates linearly, so callers check coverage themselves.
+    """
     from scipy.interpolate import RegularGridInterpolator
     re = RegularGridInterpolator((tau_grid, s_grid), values.real,
                                  bounds_error=False, fill_value=None)
@@ -497,7 +478,8 @@ def two_point_from_samples(tau_grid, s_grid, values):
                                  bounds_error=False, fill_value=None)
 
     def two_point(tau, s):
-        pt = np.array([[tau, s]])
-        return complex(re(pt)[0] + 1j * im(pt)[0])
+        tau, s = np.broadcast_arrays(tau, s)
+        pts = np.stack([tau.ravel(), s.ravel()], axis=-1)
+        return (re(pts) + 1j * im(pts)).reshape(tau.shape)
 
     return two_point

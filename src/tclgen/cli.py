@@ -66,7 +66,7 @@ def _parse_matrix(section, raw, dim=None):
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _parse_bath(cfg):
+def _parse_bath(cfg, T):
     _require_keys("bath", cfg, ("type",), (
         "H_E", "phi", "rho_E", "omega", "beta", "n_max", "shift",
         "two_point", "two_point_csv"))
@@ -95,7 +95,7 @@ def _parse_bath(cfg):
                       ("two_point", "two_point_csv", "omega", "beta"))
         if "two_point_csv" in cfg:
             return baths.GaussianBath(
-                _two_point_from_csv(cfg["two_point_csv"]))
+                _two_point_from_csv(cfg["two_point_csv"], T))
         if cfg.get("two_point") != "single-mode-thermal":
             raise ConfigError("gaussian bath needs two_point="
                               "'single-mode-thermal' or two_point_csv")
@@ -107,7 +107,12 @@ def _parse_bath(cfg):
     raise ConfigError(f"unknown bath type {kind!r}")
 
 
-def _two_point_from_csv(path):
+def _two_point_from_csv(path, T):
+    """Sampled kernel from a tau,s,re,im CSV whose grids cover [0, T].
+
+    The kernel would extrapolate outside its samples, so a grid that stops
+    short of [0, T] (beyond a relative 1e-9 of T) is refused.
+    """
     taus, ss, vals = [], [], {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -127,6 +132,11 @@ def _two_point_from_csv(path):
                 table[a, b] = vals[(tau, s)]
     except KeyError as exc:
         raise ConfigError("two-point CSV must sample a full tau x s grid") from exc
+    slack = 1e-9 * T
+    for name, grid in (("tau", tau_grid), ("s", s_grid)):
+        if not grid.size or grid[0] > slack or grid[-1] < T - slack:
+            raise ConfigError(f"two-point CSV samples of {name} must cover "
+                              f"the time grid [0, {T}]")
     return baths.two_point_from_samples(tau_grid, s_grid, table)
 
 
@@ -178,7 +188,7 @@ def load_config(path):
 
 def _build_problem(parsed):
     """Construct model/grid/quad; raises ValueError on numeric violations."""
-    bath = _parse_bath(parsed["bath_cfg"])
+    bath = _parse_bath(parsed["bath_cfg"], parsed["T"])
     model = superops.ModelSpec(parsed["H_S"], parsed["A"], parsed["g"], bath,
                                adjoint=parsed["adjoint"])
     grid = superops.Grid(parsed["T"], parsed["M"])

@@ -37,8 +37,14 @@ sweep j = 0..M gives both.  A nonzero cluster has a PLUS outer bath sign,
 so slot 0 is only ever needed traced and costs no d_E^3 work.  A sweep
 costs O(m M (d_S^6 d_E^2 + d_S^4 d_E^3)) time and keeps only the running
 states in memory, against O(M^3) to O(M^4) per endpoint for cell-by-cell
-correlator tables.  Gaussian baths still go through the correlator tables
-of ``baths``, one branch per cluster size up to 4.
+correlator tables.
+
+Gaussian-bath clusters recurse over the slots from the outside in: each
+slot above the last two is summed one grid point at a time, with the grid
+indices of the slots before it fixed, and the last two slots are one
+weighted double sum over the ``baths`` correlator table for that prefix.
+This has no limit on the cluster size; it costs O(M^(m-2)) table builds of
+O(M^2) each for a free cluster of m >= 2 slots.
 
 Adjoint evaluation: an adjoint-kind cluster (last slot of every cluster
 MINUS) is evaluated as the transpose dual of the corresponding forward
@@ -346,90 +352,53 @@ class GeneratorEngine:
         return eta * free, eta * pinned
 
     def _cluster_value(self, signs, pinned, i, kind):
-        """Gaussian-bath cluster quadrature from correlator tables."""
-        m = len(signs)
-        if m > 4:
-            raise ValueError("clusters beyond size 4 are not supported")
+        """Gaussian-bath cluster quadrature, recursing over the slots.
+
+        A pinned cluster fixes slot 0 at t_i with unit weight and no
+        ordering factor towards slot 1 (the domain edge).
+        """
         asigns, dsig, eta, rev = _remap(signs, kind)
-        a = self.a_tab
-        sl = slice(0, i + 1)
         w = self.weights(i)
-        ct = self.ctab
+        if not pinned:
+            return eta * self._slots(asigns, dsig, rev, w, (), w)
+        lead = self.a_tab[asigns[0]][i]
+        if len(signs) == 1:
+            return eta * (lead * self.ctab.pair_free(dsig)[i])
+        core = self._slots(asigns, dsig, rev, w, (i,), w)
+        return eta * (lead @ core if not rev else core @ lead)
 
-        if m == 1:
-            d1 = ct.pair_free(dsig)
-            if pinned:
-                mat = a[asigns[0]][i] * d1[i]
-            else:
-                mat = np.einsum("j,jab->ab", w * d1[sl], a[asigns[0]][sl])
-            return eta * mat
+    def _slots(self, asigns, dsig, rev, w, prefix, wk):
+        """Weighted sum over the slots after ``prefix`` of one cluster.
 
-        if m == 2:
-            if pinned:
-                drow = ct.pair_free(dsig)[i, sl]
-                inner = np.einsum("j,jab->ab", w * drow, a[asigns[1]][sl])
-                pin = a[asigns[0]][i]
-                mat = pin @ inner if not rev else inner @ pin
-            else:
-                wd = (w[:, None] * w[None, :] * self.theta[sl, sl]
-                      * ct.pair_free(dsig)[sl, sl])
-                mat = self._double(wd, a[asigns[0]][sl], a[asigns[1]][sl], rev)
-            return eta * mat
-
-        if m == 3:
-            if pinned:
-                wd = (w[:, None] * w[None, :] * self.theta[sl, sl]
-                      * ct.triple_slice(dsig, i)[sl, sl])
-                core = self._double(wd, a[asigns[1]][sl], a[asigns[2]][sl], rev)
-                pin = a[asigns[0]][i]
-                mat = pin @ core if not rev else core @ pin
-            else:
-                mat = np.zeros((self.d2, self.d2), dtype=complex)
-                for top in range(i + 1):
-                    slb = slice(0, top + 1)
-                    wb = w[slb]
-                    wd = (wb[:, None] * wb[None, :]
-                          * self.theta[top, slb][:, None]
-                          * self.theta[slb, slb]
-                          * ct.triple_slice(dsig, top)[slb, slb])
-                    core = self._double(wd, a[asigns[1]][slb],
-                                        a[asigns[2]][slb], rev)
-                    lead = a[asigns[0]][top]
-                    mat += w[top] * (lead @ core if not rev else core @ lead)
-            return eta * mat
-
-        # m == 4: python loops over the two outer free variables
-        mat = np.zeros((self.d2, self.d2), dtype=complex)
-        outer = [i] if pinned else range(i + 1)
-        for top in outer:
-            acc = np.zeros_like(mat)
-            for b in range(top + 1):
-                th_top = 1.0 if pinned else self.theta[top, b]
-                if th_top == 0.0:
-                    continue
-                for c in range(b + 1):
-                    rows = ct.chain_rows(dsig, (top, b, c))[:c + 1]
-                    win = w[:c + 1] * self.theta[c, :c + 1]
-                    inner = np.einsum("d,dab->ab", win * rows,
-                                      a[asigns[3]][:c + 1])
-                    f1, f2 = a[asigns[1]][b], a[asigns[2]][c]
-                    wgt = w[b] * w[c] * th_top * self.theta[b, c]
-                    if not rev:
-                        acc += wgt * (f1 @ f2 @ inner)
-                    else:
-                        acc += wgt * (inner @ f2 @ f1)
-            lead = a[asigns[0]][top]
-            piece = lead @ acc if not rev else acc @ lead
-            mat += piece if pinned else w[top] * piece
-        return eta * mat
-
-    @staticmethod
-    def _double(wd, a_first, a_second, rev):
-        if not rev:
-            inner = np.einsum("ab,bjk->ajk", wd, a_second)
-            return np.einsum("aij,ajk->ik", a_first, inner)
-        inner = np.einsum("ab,ajk->bjk", wd, a_first)
-        return np.einsum("bij,bjk->ik", a_second, inner)
+        ``w`` holds the trapezoid weights on [0, t_i], ``prefix`` the grid
+        indices of the earlier slots and ``wk`` the weights of the next slot
+        on grid points 0..len(wk)-1, its ordering factor included.  Slots
+        are summed one grid point at a time until two remain; those are one
+        double sum over the correlator table with the prefix fixed.
+        """
+        k, a = len(prefix), self.a_tab
+        sl = slice(0, len(wk))
+        left = len(asigns) - k
+        if left == 1:
+            # only m <= 2 gets here, so the pair table holds the row
+            row = self.ctab.pair_free(dsig)[prefix][sl]
+            return np.einsum("j,jab->ab", wk * row, a[asigns[k]][sl])
+        if left == 2:
+            tab = self.ctab.chain_rows(dsig, prefix)
+            wd = wk[:, None] * w[None, sl] * self.theta[sl, sl] * tab[sl, sl]
+            first, second = a[asigns[k]][sl], a[asigns[k + 1]][sl]
+            if not rev:
+                inner = np.einsum("ab,bjk->ajk", wd, second)
+                return np.einsum("aij,ajk->ik", first, inner)
+            inner = np.einsum("ab,ajk->bjk", wd, first)
+            return np.einsum("bij,bjk->ik", second, inner)
+        out = np.zeros((self.d2, self.d2), dtype=complex)
+        for j in np.flatnonzero(wk):
+            core = self._slots(asigns, dsig, rev, w, prefix + (j,),
+                               w[:j + 1] * self.theta[j, :j + 1])
+            lead = a[asigns[k]][j]
+            out += wk[j] * (lead @ core if not rev else core @ lead)
+        return out
 
     # -- expansion objects ----------------------------------------------
 
@@ -495,121 +464,50 @@ class GeneratorEngine:
             out += term.coeff * self._vk_term(term, i)
         return out
 
-    def _vk_sign_choices(self, block):
-        tails = itertools.product((MINUS, PLUS), repeat=len(block) - 1)
-        return [MINUS + "".join(t) for t in tails]
-
     def _vk_term(self, vk, i):
-        total = np.zeros((self.d2, self.d2), dtype=complex)
-        for combo in itertools.product(
-                *(self._vk_sign_choices(b) for b in vk.blocks)):
-            total += self._vk_resolved(vk, combo, i)
-        return total
+        """One Van Kampen term as a plain sum over the ordered simplex.
 
-    def _vk_resolved(self, vk, block_signs, i):
-        """One sign-resolved summand of a Van Kampen term."""
-        nvar = vk.order - 1
+        Label 0 sits at t_i and labels 1..n-1 run over the grid points
+        t_i >= t_j1 >= ... >= t_j(n-1) with nonzero trapezoid and ordering
+        weight.  Every block takes each system sign string that starts with
+        MINUS (the others have a vanishing correlator) and contributes its
+        bath correlator; the system factors multiply in block order.
+        """
+        pts = np.array(list(itertools.combinations_with_replacement(
+            range(i, -1, -1), vk.order - 1)), dtype=int)
+        idx = [np.full(len(pts), i)] + list(pts.T)
         w = self.weights(i)
-        sl = slice(0, i + 1)
-        if nvar == 0:
-            (block,), (signs,) = vk.blocks, block_signs
-            dval = self.ctab.value(flip_signs(signs), (i,))
-            return self.a_tab[signs[0]][i] * dval
-
-        if nvar <= 2:
-            grids = np.meshgrid(*([np.arange(i + 1)] * nvar), indexing="ij")
-            idx = [g.reshape(-1) for g in grids]
-            wgt = w[idx[0]].astype(complex)
-            for k in range(1, nvar):
-                wgt = wgt * w[idx[k]] * self.theta[idx[k - 1], idx[k]]
-            dprod, chain = self._vk_gather(vk, block_signs, i, idx)
-            return np.einsum("g,g,gab->ab", wgt, dprod, chain)
-
-        # nvar == 3: chunk over the outermost simplex variable
-        out = np.zeros((self.d2, self.d2), dtype=complex)
-        for j1 in range(i + 1):
-            grids = np.meshgrid(np.arange(i + 1), np.arange(i + 1),
-                                indexing="ij")
-            idx = [np.full((i + 1) ** 2, j1)] + [g.reshape(-1) for g in grids]
-            wgt = (w[j1] * w[idx[1]] * self.theta[j1, idx[1]]
-                   * w[idx[2]] * self.theta[idx[1], idx[2]]).astype(complex)
-            if not wgt.any():
-                continue
-            dprod, chain = self._vk_gather(vk, block_signs, i, idx)
-            out += np.einsum("g,g,gab->ab", wgt, dprod, chain)
-        return out
-
-    def _vk_gather(self, vk, block_signs, i, idx):
-        """Correlator products and superoperator chains on flat index sets."""
-        nflat = idx[0].shape[0]
-        label_idx = {0: i}
-        for lbl in range(1, vk.order):
-            label_idx[lbl] = idx[lbl - 1]
-        dprod = np.ones(nflat, dtype=complex)
-        for block, signs in zip(vk.blocks, block_signs):
-            dsig = flip_signs(signs)
-            ids = [label_idx[lbl] for lbl in block]
-            if len(block) == 1:
-                vals = self.ctab.pair_free(dsig)[ids[0]]
-            elif len(block) == 2:
-                vals = self.ctab.pair_free(dsig)[ids[0], ids[1]]
-            elif len(block) == 3:
-                vals = self._vk_triple(dsig, ids)
-            else:
-                vals = self._vk_quad(dsig, ids)
-            dprod = dprod * vals
-        chain = np.broadcast_to(np.eye(self.d2, dtype=complex),
-                                (nflat, self.d2, self.d2)).copy()
-        for block, signs in zip(vk.blocks, block_signs):
-            for lbl, sgn in zip(block, signs):
-                mats = self.a_tab[sgn][label_idx[lbl]]
-                if np.ndim(label_idx[lbl]) == 0:
-                    chain = np.einsum("gab,bc->gac", chain, mats)
-                else:
-                    chain = np.einsum("gab,gbc->gac", chain, mats)
-        return dprod, chain
-
-    def _vk_triple(self, dsig, ids):
-        lead = ids[0]
-        if np.ndim(lead) == 0:
-            return self.ctab.triple_slice(dsig, int(lead))[ids[1], ids[2]]
-        # leading index varies: gather per distinct value
-        out = np.empty(lead.shape, dtype=complex)
-        for val in np.unique(lead):
-            mask = lead == val
-            tab = self.ctab.triple_slice(dsig, int(val))
-            out[mask] = tab[ids[1][mask], ids[2][mask]]
-        return out
-
-    @staticmethod
-    def _flat_scalar(x):
-        arr = np.asarray(x)
-        if arr.ndim == 0:
-            return int(arr)
-        vals = np.unique(arr)
-        if len(vals) != 1:
-            raise NotImplementedError("leading block indices must be chunked")
-        return int(vals[0])
-
-    def _vk_quad(self, dsig, ids):
-        # only reached for the fully connected order-4 block
-        lead, second = self._flat_scalar(ids[0]), self._flat_scalar(ids[1])
-        third, last = ids[2], ids[3]
-        out = np.empty(third.shape, dtype=complex)
-        for val in np.unique(third):
-            rows = self.ctab.chain_rows(dsig, (lead, second, int(val)))
-            mask = third == val
-            out[mask] = rows[last[mask]]
-        return out
+        wgt = np.ones(len(pts))
+        for k in range(1, vk.order):
+            # no ordering factor between t_i and label 1: a domain edge
+            tie = self.theta[idx[k - 1], idx[k]] if k > 1 else 1.0
+            wgt *= w[idx[k]] * tie
+        keep = np.flatnonzero(wgt)
+        idx, wgt = [j[keep] for j in idx], wgt[keep]
+        choices = [[MINUS + "".join(tail) for tail in
+                    itertools.product((MINUS, PLUS), repeat=len(block) - 1)]
+                   for block in vk.blocks]
+        total = np.zeros((self.d2, self.d2), dtype=complex)
+        for combo in itertools.product(*choices):
+            val, chain = wgt.astype(complex), np.eye(self.d2, dtype=complex)
+            for block, signs in zip(vk.blocks, combo):
+                ids = [idx[lbl] for lbl in block]
+                val = val * self.ctab._chain(flip_signs(signs), ids)
+                for sign, j in zip(signs, ids):
+                    chain = chain @ self.a_tab[sign][j]
+            total += np.einsum("g,gab->ab", val, chain)
+        return total
 
 
 def engine_for(model, quad):
-    """One engine per (model, quadrature) pair, cached on the quadrature."""
-    key = id(model)
-    entry = quad._cache.get(key)
+    """The engine of (model, quad), cached on the quadrature.
+
+    Only the last model's engine is kept, so a quadrature reused with many
+    derived models holds one engine at a time.
+    """
+    entry = quad._cache.get("last")
     if entry is None or entry[0] is not model:
-        entry = (model, GeneratorEngine(model, quad))
-        quad._cache[key] = entry
+        entry = quad._cache["last"] = (model, GeneratorEngine(model, quad))
     return entry[1]
 
 

@@ -80,6 +80,20 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             GaussianBath(lambda tau, s: 1.0 + 1j * (tau + s))
 
+    def test_gaussian_bath_rejects_kernels_that_do_not_broadcast(self):
+        import cmath
+        base = thermal_mode_two_point(1.0)
+        scalar_only = [
+            (lambda tau, s: cmath.exp(-1j * (tau - s)), None),
+            (lambda tau, s: np.exp(-1j * np.subtract.outer(tau, s)), None),
+            (base, lambda tau: complex(0.3 * np.cos(tau))),
+            (base, lambda tau: np.cos(np.ravel(tau)[:1])),
+        ]
+        for two_point, mean in scalar_only:
+            with pytest.raises(ValueError, match="broadcast"):
+                GaussianBath(two_point, mean=mean)
+        GaussianBath(base, mean=lambda tau: 0.3)   # a constant broadcasts
+
     def test_query_invariants(self):
         with pytest.raises(ValueError):
             CorrelationQuery("+-", (0.1,))

@@ -270,6 +270,25 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "x")]) == 2
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("t_max,T", [(1.5, 2.0), (3.06, 9.0)])
+    def test_two_point_csv_must_cover_the_grid(self, config_path, tmp_path,
+                                               t_max, T):
+        # the sampled kernel would extrapolate beyond t_max without notice
+        taus = np.linspace(0, t_max, 18)
+        rows = ["tau,s,re,im"]
+        for a in taus:
+            for b in taus:
+                c = np.exp(-1j * (a - b))
+                rows.append(f"{a},{b},{c.real},{c.imag}")
+        csv_path = tmp_path / "two_point.csv"
+        csv_path.write_text("\n".join(rows) + "\n")
+        cfg = dephasing_config()
+        cfg["bath"] = {"type": "gaussian", "two_point_csv": str(csv_path)}
+        cfg["grid"] = {"T": T, "M": 60}
+        assert main(["propagate", "--config", config_path(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
+
     def test_mistyped_grid_size_is_config_error(self, config_path, tmp_path):
         cfg = dephasing_config()
         cfg["grid"]["M"] = 40.5

@@ -174,3 +174,19 @@ def test_observed_convergence_order_is_two():
     ratio = (np.abs(finals[1] - finals[0]).max()
              / np.abs(finals[2] - finals[1]).max())
     assert 1.9 <= np.log2(ratio) <= 2.5
+
+
+def test_reused_quadrature_keeps_one_engine():
+    # each call derives a fresh adjoint model from the non-adjoint one
+    model = ModelSpec(rand_herm(2), rand_herm(2), 0.2,
+                      qubit_bath(1.1, beta=1.0, shift=0.4))
+    grid = Grid(1.0, 20)
+    quad = QuadratureConfig(grid, max_order=2)
+    o0 = rand_herm(2)
+    first = propagate_observable(model, o0, grid, 2, quad=quad)
+    for _ in range(4):
+        again = propagate_observable(model, o0, grid, 2, quad=quad)
+        assert len(quad._cache) == 1
+    np.testing.assert_array_equal(again.payload, first.payload)
+    propagate_state(model, rand_state(2), grid, 2, quad=quad)
+    assert len(quad._cache) == 1

@@ -385,23 +385,40 @@ def admissible_signs(m, kind):
     return out
 
 
+def gaussian_model(with_mean, g=0.5):
+    """Qubit system on a Gaussian bath; the mean varies in time."""
+    base = thermal_mode_two_point(1.3, beta=0.8)
+    if not with_mean:
+        return ModelSpec(rand_herm(2), rand_herm(2), g, GaussianBath(base))
+
+    def mean(tau):
+        return 0.4 + 0.2 * np.cos(0.9 * tau)
+
+    bath = GaussianBath(lambda tau, s: base(tau, s) + mean(tau) * mean(s),
+                        mean=mean)
+    return ModelSpec(rand_herm(2), rand_herm(2), g, bath)
+
+
 class TestChainSweep:
-    """The exact-bath sweep against tuple sums at every endpoint."""
+    """Exact-bath sweep and Gaussian recursion against tuple sums."""
 
     @pytest.mark.parametrize("kind", [SCHRODINGER, ADJOINT])
     @pytest.mark.parametrize("pinned", [True, False])
     def test_every_endpoint_matches_tuple_sum(self, pinned, kind):
-        model = rand_model(g=0.5)
-        quad = QuadratureConfig(Grid(0.6, 8), max_order=4)
-        eng = engine_for(model, quad)
         brute = TestClusterQuadratureOracle.brute_cluster
-        for m in (1, 2, 3, 4):
-            for signs in admissible_signs(m, kind):
-                for i in range(quad.grid.M + 1):
-                    got = eng.cluster_value(signs, pinned, i, kind)
-                    want = brute(eng, signs, pinned, i, kind)
-                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13,
-                                               err_msg=f"{signs} at {i}")
+        for model in (rand_model(g=0.5), gaussian_model(False),
+                      gaussian_model(True)):
+            quad = QuadratureConfig(Grid(0.6, 8), max_order=4)
+            eng = engine_for(model, quad)
+            for m in (1, 2, 3, 4):
+                for signs in admissible_signs(m, kind):
+                    for i in range(quad.grid.M + 1):
+                        got = eng.cluster_value(signs, pinned, i, kind)
+                        want = brute(eng, signs, pinned, i, kind)
+                        np.testing.assert_allclose(
+                            got, want, rtol=0, atol=1e-13,
+                            err_msg=f"{type(model.bath).__name__} {signs} "
+                                    f"at {i}")
 
     def test_inadmissible_strings_vanish(self):
         model = rand_model(g=0.5)
