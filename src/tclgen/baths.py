@@ -469,17 +469,34 @@ def two_point_from_samples(tau_grid, s_grid, values):
     """Bilinear interpolation of a sampled two-point function.
 
     The kernel broadcasts its time arguments.  Outside the sampled grid it
-    extrapolates linearly, so callers check coverage themselves.
+    extrapolates linearly from the edge cell, so callers check coverage
+    themselves.  The cell search, the weights and the order of the four
+    products are those of the linear ``RegularGridInterpolator``, with the
+    real and imaginary parts interpolated apart, so the values agree with
+    it bit for bit (``tests/test_baths.py`` checks this).
     """
-    from scipy.interpolate import RegularGridInterpolator
-    re = RegularGridInterpolator((tau_grid, s_grid), values.real,
-                                 bounds_error=False, fill_value=None)
-    im = RegularGridInterpolator((tau_grid, s_grid), values.imag,
-                                 bounds_error=False, fill_value=None)
+    grids = [np.array(g, dtype=float) for g in (tau_grid, s_grid)]
+    values = np.asarray(values)
+    if (values.shape != tuple(g.size for g in grids)
+            or not all(g.size >= 2 and (np.diff(g) > 0).all() for g in grids)):
+        raise ValueError("sampled two-point values need strictly ascending "
+                         "tau and s grids of at least two points each, "
+                         "indexed [tau, s]")
+    parts = values.real.copy(), values.imag.copy()
+
+    def cell(grid, x):
+        x = np.asarray(x, dtype=float)
+        i = np.clip(np.searchsorted(grid, x, side="right") - 1,
+                    0, grid.size - 2)
+        return i, (x - grid[i]) / (grid[i + 1] - grid[i])
 
     def two_point(tau, s):
-        tau, s = np.broadcast_arrays(tau, s)
-        pts = np.stack([tau.ravel(), s.ravel()], axis=-1)
-        return (re(pts) + 1j * im(pts)).reshape(tau.shape)
+        (i, y0), (j, y1) = cell(grids[0], tau), cell(grids[1], s)
+        # starting from 0.0, as the reference does, makes an all -0.0 sum +0.0
+        re, im = (0.0 + v[i, j] * (1 - y0) * (1 - y1)
+                  + v[i, j + 1] * (1 - y0) * y1
+                  + v[i + 1, j] * y0 * (1 - y1)
+                  + v[i + 1, j + 1] * y0 * y1 for v in parts)
+        return re + 1j * im
 
     return two_point

@@ -18,6 +18,7 @@ import io
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -110,31 +111,48 @@ def _parse_bath(cfg, T):
 def _two_point_from_csv(path, T):
     """Sampled kernel from a tau,s,re,im CSV whose grids cover [0, T].
 
-    The kernel would extrapolate outside its samples, so a grid that stops
-    short of [0, T] (beyond a relative 1e-9 of T) is refused.
+    The columns may come in any order.  Every (tau, s) pair of a full
+    tau x s grid must appear exactly once.  The kernel would extrapolate
+    outside its samples, so a grid that stops short of [0, T] (beyond a
+    relative 1e-9 of T) is refused.
     """
-    taus, ss, vals = [], [], {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if set(reader.fieldnames or ()) != {"tau", "s", "re", "im"}:
-            raise ConfigError("two-point CSV needs columns tau,s,re,im")
-        for row in reader:
-            tau, s = float(row["tau"]), float(row["s"])
-            taus.append(tau)
-            ss.append(s)
-            vals[(tau, s)] = float(row["re"]) + 1j * float(row["im"])
-    tau_grid = np.array(sorted(set(taus)))
-    s_grid = np.array(sorted(set(ss)))
-    table = np.empty((len(tau_grid), len(s_grid)), dtype=complex)
+    columns = ("tau", "s", "re", "im")
     try:
-        for a, tau in enumerate(tau_grid):
-            for b, s in enumerate(s_grid):
-                table[a, b] = vals[(tau, s)]
-    except KeyError as exc:
-        raise ConfigError("two-point CSV must sample a full tau x s grid") from exc
+        with open(path, newline="") as fh:
+            header = next(csv.reader([fh.readline()]), [])
+            if sorted(header) != sorted(columns):
+                raise ConfigError("two-point CSV needs columns tau,s,re,im")
+            with warnings.catch_warnings():
+                # a header-only file warns here and is refused below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                  quotechar='"')
+    except OSError as exc:
+        raise ConfigError(f"cannot read two-point CSV: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"two-point CSV: {exc}") from exc
+    if not data.size or data.shape[1] != len(columns):
+        raise ConfigError("two-point CSV needs rows of four numbers")
+    if not np.isfinite(data).all():
+        raise ConfigError("two-point CSV entries must be finite")
+    tau, s, re, im = (data[:, header.index(name)] for name in columns)
+    tau_grid, a = np.unique(tau, return_inverse=True)
+    s_grid, b = np.unique(s, return_inverse=True)
+    shape = (tau_grid.size, s_grid.size)
+    count = np.bincount(a * shape[1] + b, minlength=shape[0] * shape[1])
+    count = count.reshape(shape)
+    if count.max() > 1:
+        i, j = np.argwhere(count > 1)[0]
+        raise ConfigError(f"two-point CSV lists the pair tau="
+                          f"{float(tau_grid[i])}, s={float(s_grid[j])} "
+                          "more than once")
+    if count.min() < 1:
+        raise ConfigError("two-point CSV must sample a full tau x s grid")
+    table = np.empty(shape, dtype=complex)
+    table[a, b] = re + 1j * im
     slack = 1e-9 * T
     for name, grid in (("tau", tau_grid), ("s", s_grid)):
-        if not grid.size or grid[0] > slack or grid[-1] < T - slack:
+        if grid[0] > slack or grid[-1] < T - slack:
             raise ConfigError(f"two-point CSV samples of {name} must cover "
                               f"the time grid [0, {T}]")
     return baths.two_point_from_samples(tau_grid, s_grid, table)

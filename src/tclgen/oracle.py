@@ -8,8 +8,6 @@ perturbative side.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,15 +18,6 @@ from tclgen.superops import apply_superop, evaluate_mu
 from tclgen.terms import ADJOINT, SCHRODINGER
 
 DESK_DIM_BOUND = 4096
-
-
-def thread_budget():
-    """Worker cap for embarrassingly parallel sweeps (TCLGEN_THREADS)."""
-    raw = os.environ.get("TCLGEN_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -103,14 +92,7 @@ def scaling_probe(model, rho0, grid, N, couplings, quad_factory=None):
         quad = quad_factory(m) if quad_factory else None
         return tcl_vs_exact_error(m, rho0, grid, N, quad=quad)
 
-    workers = thread_budget()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            errs = list(pool.map(one, couplings))
-    else:
-        errs = [one(g) for g in couplings]
-    rows = [{"g": float(g), "err": float(err)}
-            for g, err in zip(couplings, errs)]
+    rows = [{"g": float(g), "err": float(one(g))} for g in couplings]
     for k, row in enumerate(rows):
         row["ratio"] = None
         for other in rows[k + 1:]:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import expm
 
 from tclgen.baths import (
@@ -315,6 +316,39 @@ class TestGaussianBackend:
         interp = two_point_from_samples(taus, taus, table)
         for tau, s in rng.uniform(0, 3, size=(5, 2)):
             assert abs(interp(tau, s) - base(tau, s)) < 5e-4
+
+    def test_sampled_two_point_matches_scipy(self):
+        # uneven tau samples, a different s grid, noisy complex values
+        taus = np.concatenate([[0.0], np.sort(rng.uniform(0, 10, 38)), [10.0]])
+        ss = np.linspace(0, 10, 43)
+        values = (thermal_mode_two_point(1.0, beta=2.0)(taus[:, None],
+                                                        ss[None, :])
+                  * (1 + 0.3 * rng.normal(size=(40, 43))))
+        parts = [RegularGridInterpolator((taus, ss), v, bounds_error=False,
+                                         fill_value=None)
+                 for v in (values.real, values.imag)]
+
+        def scipy_kernel(tau, s):
+            tau, s = np.broadcast_arrays(tau, s)
+            pts = np.stack([tau.ravel(), s.ravel()], axis=-1)
+            return (parts[0](pts) + 1j * parts[1](pts)).reshape(tau.shape)
+
+        interp = two_point_from_samples(taus, ss, values)
+        on_grid = interp(taus[:, None], ss[None, :])
+        assert on_grid.tobytes() == scipy_kernel(taus[:, None],
+                                                 ss[None, :]).tobytes()
+        assert on_grid.tobytes() == values.tobytes()
+        for lo, hi in ((0, 10), (-3, 13)):  # inside, then beyond the samples
+            tau, s = rng.uniform(lo, hi, size=(2, 20000))
+            assert np.abs(interp(tau, s) - scipy_kernel(tau, s)).max() <= 1e-15
+
+    @pytest.mark.parametrize("taus,shape", [
+        ([0.0], (1, 3)), ([0.0, 2.0, 1.0], (3, 3)), ([0.0, 1.0, 2.0], (3, 2)),
+    ], ids=["single-sample", "unsorted", "wrong-shape"])
+    def test_sampled_two_point_rejects_bad_grids(self, taus, shape):
+        with pytest.raises(ValueError, match="ascending"):
+            two_point_from_samples(np.array(taus), np.linspace(0, 2, 3),
+                                   np.ones(shape))
 
 
 class TestCorrelatorTables:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tclgen
 from tclgen.cli import main
 from tclgen.terms import generator_terms, parse_term
 
@@ -31,6 +36,24 @@ def dephasing_config(**overrides):
         "order": 2,
     }
     cfg.update(overrides)
+    return cfg
+
+
+def two_point_rows(taus, columns=("tau", "s", "re", "im")):
+    """CSV lines sampling C(tau, s) = exp(-i(tau - s)) on taus x taus."""
+    rows = [",".join(columns)]
+    for a in taus:
+        for b in taus:
+            c = np.exp(-1j * (a - b))
+            cell = {"tau": a, "s": b, "re": c.real, "im": c.imag}
+            rows.append(",".join(str(cell[k]) for k in columns))
+    return rows
+
+
+def csv_bath_config(csv_path, T, M=60):
+    cfg = dephasing_config()
+    cfg["bath"] = {"type": "gaussian", "two_point_csv": str(csv_path)}
+    cfg["grid"] = {"T": T, "M": M}
     return cfg
 
 
@@ -185,20 +208,52 @@ class TestNumericCommands:
                      "--out", str(tmp_path / "g")]) == 0
 
     def test_two_point_csv_bath(self, config_path, tmp_path):
-        taus = np.linspace(0, 2.2, 45)
-        rows = ["tau,s,re,im"]
-        for a in taus:
-            for b in taus:
-                c = np.exp(-1j * (a - b))
-                rows.append(f"{a},{b},{c.real},{c.imag}")
         csv_path = tmp_path / "two_point.csv"
-        csv_path.write_text("\n".join(rows) + "\n")
-        cfg = dephasing_config()
-        cfg["bath"] = {"type": "gaussian", "two_point_csv": str(csv_path)}
-        cfg["grid"] = {"T": 2.0, "M": 60}
-        path = config_path(cfg)
+        csv_path.write_text("\n".join(two_point_rows(np.linspace(0, 2.2, 45)))
+                            + "\n")
+        path = config_path(csv_bath_config(csv_path, 2.0))
         assert main(["propagate", "--config", path,
                      "--out", str(tmp_path / "csvbath")]) == 0
+
+    def test_two_point_csv_column_order_and_blank_lines(self, config_path,
+                                                         tmp_path):
+        # permuted columns and trailing blank lines give the same bytes
+        taus = np.linspace(0, 2.2, 12)
+        variants = {
+            "plain": "\n".join(two_point_rows(taus)) + "\n",
+            "permuted": "\n".join(two_point_rows(taus, ("s", "im", "tau",
+                                                         "re"))) + "\n",
+            "blank_tail": "\n".join(two_point_rows(taus)) + "\n\n\n",
+        }
+        outs = []
+        for name, text in variants.items():
+            csv_path = tmp_path / f"{name}.csv"
+            csv_path.write_text(text)
+            path = config_path(csv_bath_config(csv_path, 2.0, M=30),
+                               name=f"{name}.json")
+            assert main(["propagate", "--config", path,
+                         "--out", str(tmp_path / name)]) == 0
+            outs.append((tmp_path / name / "trajectory.csv").read_bytes()
+                        + (tmp_path / name / "summary.json").read_bytes())
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
+    def test_csv_bath_runs_without_scipy(self, config_path, tmp_path):
+        # scipy is a test dependency only; the sampled kernel must not pull
+        # it back in
+        csv_path = tmp_path / "two_point.csv"
+        csv_path.write_text("\n".join(two_point_rows(np.linspace(0, 2.0, 9)))
+                            + "\n")
+        path = config_path(csv_bath_config(csv_path, 2.0, M=20))
+        script = ("import sys\n"
+                  "from tclgen.cli import main\n"
+                  f"code = main(['propagate', '--config', {path!r}, "
+                  f"'--out', {str(tmp_path / 'out')!r}])\n"
+                  "print(code, 'scipy' in sys.modules)\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(tclgen.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1].split() == ["0", "False"]
 
     def test_byte_determinism(self, config_path, tmp_path):
         cfg = dephasing_config()
@@ -274,19 +329,37 @@ class TestErrorPaths:
     def test_two_point_csv_must_cover_the_grid(self, config_path, tmp_path,
                                                t_max, T):
         # the sampled kernel would extrapolate beyond t_max without notice
-        taus = np.linspace(0, t_max, 18)
-        rows = ["tau,s,re,im"]
-        for a in taus:
-            for b in taus:
-                c = np.exp(-1j * (a - b))
-                rows.append(f"{a},{b},{c.real},{c.imag}")
         csv_path = tmp_path / "two_point.csv"
-        csv_path.write_text("\n".join(rows) + "\n")
-        cfg = dephasing_config()
-        cfg["bath"] = {"type": "gaussian", "two_point_csv": str(csv_path)}
-        cfg["grid"] = {"T": T, "M": 60}
-        assert main(["propagate", "--config", config_path(cfg),
+        csv_path.write_text("\n".join(two_point_rows(np.linspace(0, t_max,
+                                                                 18))) + "\n")
+        assert main(["propagate", "--config",
+                     config_path(csv_bath_config(csv_path, T)),
                      "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda rows: rows[:1], "rows of four numbers"),
+        (lambda rows: rows[:7] + ["0.5,0.5,x,0.0"] + rows[8:], "'x'"),
+        (lambda rows: rows[:7] + ["0.5,0.5,1.0"] + rows[8:],
+         "columns changed"),
+        (lambda rows: rows + ["0.5,1.0,99.0,0.0"], "more than once"),
+        (lambda rows: rows[:-1], "full tau x s grid"),
+        (lambda rows: ["tau,s,re,im,tau"] + rows[1:], "columns tau,s,re,im"),
+        (lambda rows: rows[:7] + ["0.5,0.5,nan,0.0"] + rows[8:], "finite"),
+        (None, "cannot read"),
+    ], ids=["header-only", "non-numeric", "short-row", "duplicate-pair",
+            "missing-pair", "repeated-column", "nan-value", "missing-file"])
+    def test_two_point_csv_malformed_is_config_error(
+            self, config_path, tmp_path, capsys, edit, message):
+        # a duplicated (tau, s) pair used to let its last row win silently
+        csv_path = tmp_path / "two_point.csv"
+        if edit is not None:
+            rows = edit(two_point_rows(np.linspace(0, 2.0, 5)))
+            csv_path.write_text("\n".join(rows) + "\n")
+        assert main(["propagate", "--config",
+                     config_path(csv_bath_config(csv_path, 2.0, M=20)),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_mistyped_grid_size_is_config_error(self, config_path, tmp_path):

@@ -10,7 +10,6 @@ from tclgen.oracle import (
     partial_trace_bath,
     scaling_probe,
     tcl_vs_exact_error,
-    thread_budget,
 )
 from tclgen.superops import Grid, ModelSpec, QuadratureConfig
 
@@ -140,12 +139,6 @@ class TestScalingProbe:
         model, rho0 = dephasing_setup()
         with pytest.raises(ValueError):
             scaling_probe(model, rho0, Grid(1.0, 50), 2, [0.1])
-
-    def test_thread_budget_reads_environment(self, monkeypatch):
-        monkeypatch.setenv("TCLGEN_THREADS", "3")
-        assert thread_budget() == 3
-        monkeypatch.setenv("TCLGEN_THREADS", "junk")
-        assert thread_budget() == 1
 
 
 class TestDuality:
