@@ -257,8 +257,17 @@ def _write(out_dir, name, text):
     return path
 
 
+def _require_finite(what, *arrays):
+    """Refuse a run whose results overflowed, before any file is written."""
+    for arr in arrays:
+        if not np.isfinite(arr).all():
+            raise ValueError(f"the {what} is not finite: the run overflowed "
+                             "at this coupling and grid")
+
+
 def _summary(out_dir, payload):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
     _write(out_dir, "summary.json", text)
     print(text, end="")
 
@@ -267,6 +276,7 @@ def cmd_evaluate(args, parsed):
     model, grid, quad = _build_problem(parsed)
     table = superops.generator_table(model, quad, parsed["order"],
                                      path=_gen_path(parsed))
+    _require_finite("generator table", table)
     buf = io.StringIO()
     buf.write("t,row,col,re,im\n")
     d2 = model.d_S ** 2
@@ -300,6 +310,8 @@ def cmd_propagate(args, parsed):
         traj = propagate.propagate_state(model, parsed["rho0"], grid,
                                          parsed["order"], quad=quad,
                                          path=_gen_path(parsed))
+    _require_finite("trajectory", traj.payload, traj.trace_dev,
+                    traj.herm_residual, traj.min_eig)
     _write(args.out, "trajectory.csv", propagate.trajectory_to_csv(traj))
     _summary(args.out, {
         "task": "propagate",
@@ -337,15 +349,16 @@ def cmd_compare(args, parsed):
     err, series = oracle.tcl_vs_exact_error(model, parsed["rho0"], grid,
                                             parsed["order"], quad=quad,
                                             return_series=True)
+    scaling = None
+    if parsed["couplings"]:
+        # before any write: a coupling may overflow and be refused
+        scaling = oracle.scaling_probe(model, parsed["rho0"], grid,
+                                       parsed["order"], parsed["couplings"])
     buf = io.StringIO()
     buf.write("t,trace_distance\n")
     for t, val in zip(grid.times, series):
         buf.write(f"{t:.12e},{val:.12e}\n")
     _write(args.out, "distance.csv", buf.getvalue())
-    scaling = None
-    if parsed["couplings"]:
-        scaling = oracle.scaling_probe(model, parsed["rho0"], grid,
-                                       parsed["order"], parsed["couplings"])
     _summary(args.out, {
         "task": "compare",
         "order": parsed["order"],

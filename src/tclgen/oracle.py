@@ -70,6 +70,9 @@ def tcl_vs_exact_error(model, rho0, grid, N, quad=None, return_series=False):
     """max_t trace-norm distance between the truncated and exact dynamics."""
     tcl = propagate_state(model, rho0, grid, N, quad=quad)
     exact = exact_reduced_trajectory(FullModel(model, rho0), grid)
+    for name, traj in (("truncated", tcl), ("exact", exact)):
+        if not np.isfinite(traj.payload).all():
+            raise ValueError(f"the {name} trajectory is not finite")
     series = np.array([trace_norm(a - b)
                        for a, b in zip(tcl.payload, exact.payload)])
     if return_series:

@@ -362,6 +362,31 @@ class TestErrorPaths:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command,g,couplings", [
+        ("evaluate", 1e200, None), ("propagate", 1e200, None),
+        ("compare", 1e200, None), ("compare", 0.05, [0.05, 1e200]),
+    ], ids=["evaluate", "propagate", "compare", "compare-couplings"])
+    def test_non_finite_run_is_refused(self, config_path, tmp_path, capsys,
+                                       command, g, couplings):
+        # g = 1e200 overflows the expansion; this used to exit 0 with NaN
+        # rows in the CSV and bare NaN (not JSON) in summary.json
+        cfg = dephasing_config(grid={"T": 1.0, "M": 20})
+        cfg["model"]["g"] = g
+        if couplings is not None:
+            cfg["couplings"] = couplings
+        with np.errstate(all="ignore"):
+            code = main([command, "--config", config_path(cfg),
+                         "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "not finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_summary_refuses_non_finite_values(self, tmp_path):
+        from tclgen.cli import _summary
+        with pytest.raises(ValueError):
+            _summary(str(tmp_path / "x"), {"min_eig": float("nan")})
+        assert not (tmp_path / "x" / "summary.json").exists()
+
     def test_mistyped_grid_size_is_config_error(self, config_path, tmp_path):
         cfg = dephasing_config()
         cfg["grid"]["M"] = 40.5

@@ -442,6 +442,56 @@ class TestChainSweep:
             assert np.isfinite(tab).all() and np.abs(tab).max() > 0
 
 
+class TestSuffixTrieSweep:
+    """One exact-bath sweep per kind serves every cluster size at once."""
+
+    def test_one_sweep_per_kind_serves_every_cluster(self, monkeypatch):
+        from tclgen.superops import GeneratorEngine
+        calls = []
+        sweep = GeneratorEngine._kind_sweep
+
+        def counted(self, kind):
+            calls.append(kind)
+            return sweep(self, kind)
+
+        monkeypatch.setattr(GeneratorEngine, "_kind_sweep", counted)
+        quad = QuadratureConfig(Grid(0.6, 8), max_order=4)
+        eng = engine_for(rand_model(g=0.5), quad)
+        for kind in (SCHRODINGER, ADJOINT):
+            for m in (1, 2, 3, 4):
+                for signs in admissible_signs(m, kind):
+                    for pinned in (True, False):
+                        for i in range(quad.grid.M + 1):
+                            val = eng.cluster_value(signs, pinned, i, kind)
+                            assert val.shape == (eng.d2, eng.d2)
+                            assert np.isfinite(val).all()
+        assert calls == [SCHRODINGER, ADJOINT]
+
+    @pytest.mark.parametrize("kind", [SCHRODINGER, ADJOINT])
+    def test_one_state_per_call_is_bit_identical(self, monkeypatch, kind):
+        from tclgen.superops import GeneratorEngine
+        model = ModelSpec(rand_herm(2), rand_herm(2), 0.3,
+                          boson_mode_bath(1.0, 4, shift=0.5))
+        grid = Grid(1.0, 10)
+        # at the default budget all 8 deepest suffixes share one call
+        assert GeneratorEngine.CHUNK // (2 * 4 * 4 * 5 * 5) >= 8
+        want = engine_for(model, QuadratureConfig(grid, max_order=4)
+                          )._kind_sweep(kind)
+        monkeypatch.setattr(GeneratorEngine, "CHUNK", 1)
+        got = engine_for(model, QuadratureConfig(grid, max_order=4)
+                         )._kind_sweep(kind)
+        assert want.keys() == got.keys() and len(want) == 15
+        for signs, pair in want.items():
+            for a, b in zip(pair, got[signs]):
+                assert a.tobytes() == b.tobytes(), signs
+
+    def test_cluster_above_max_order_is_refused(self):
+        eng = engine_for(rand_model(),
+                         QuadratureConfig(Grid(0.6, 8), max_order=2))
+        with pytest.raises(ValueError, match="cluster size"):
+            eng.cluster_value("-+-", False, 4, SCHRODINGER)
+
+
 class TestFrozenSpecs:
     def test_model_and_grid_cannot_change_under_a_cached_engine(self):
         bath = boson_mode_bath(1.0, 6, shift=0.7)
