@@ -289,8 +289,9 @@ class _GridTable:
     A backend supplies ``_chain(signs, idx)``, the standard correlator of a
     bath-sign string at grid indices that broadcast together.  A table fixes
     the leading indices to ``prefix`` and leaves the last one or two free; it
-    is built by one ``_chain`` call and cached, so a repeated query returns
-    the same array.
+    is built by one ``_chain`` call.  A table over the whole grid is cached,
+    so a repeated query returns the same array; one over the first ``size``
+    grid points only is built for a single use and not kept.
     """
 
     def __init__(self, bath, times):
@@ -299,16 +300,17 @@ class _GridTable:
         self._m1 = len(self.times)
         self._tables = {}      # (signs, prefix) -> (m1,) or (m1, m1) array
 
-    def _table(self, signs, prefix):
+    def _table(self, signs, prefix, size=None):
         key = (signs, tuple(prefix))
-        tab = self._tables.get(key)
+        tab = self._tables.get(key) if size is None else None
         if tab is None:
             free = len(signs) - len(key[1])
             if free not in (1, 2):
                 raise ValueError("a table leaves one or two indices free")
-            grid = np.arange(self._m1)
+            grid = np.arange(self._m1 if size is None else size)
             tab = self._chain(signs, key[1] + np.ix_(*[grid] * free))
-            self._tables[key] = tab
+            if size is None:
+                self._tables[key] = tab
         return tab
 
     def pair_free(self, signs):
@@ -319,9 +321,13 @@ class _GridTable:
         """(M+1, M+1) table over the trailing two indices, first index fixed."""
         return self._table(signs, (j1,))
 
-    def chain_rows(self, signs, prefix):
-        """Table over the one or two grid indices that follow ``prefix``."""
-        return self._table(signs, prefix)
+    def chain_rows(self, signs, prefix, size=None):
+        """Table over the one or two grid indices that follow ``prefix``.
+
+        With ``size`` those indices run over grid points 0..size-1 only, and
+        the table is not cached.
+        """
+        return self._table(signs, prefix, size)
 
     def value(self, signs, indices):
         return complex(self._chain(signs, tuple(indices)))

@@ -405,7 +405,10 @@ def main(argv=None):
                "oracle": cmd_oracle, "compare": cmd_compare}[args.command]
     try:
         parsed = load_config(args.config)
-        return handler(args, parsed)
+        # an overflowing run is refused with exit 3 below, so numpy's
+        # overflow warnings on the way there would only be noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            return handler(args, parsed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -66,13 +66,20 @@ def trace_norm(x):
     return float(np.abs(np.linalg.svd(x, compute_uv=False)).sum())
 
 
+def _require_finite(name, traj):
+    if not np.isfinite(traj.payload).all():
+        raise ValueError(f"the {name} trajectory is not finite")
+
+
 def tcl_vs_exact_error(model, rho0, grid, N, quad=None, return_series=False):
-    """max_t trace-norm distance between the truncated and exact dynamics."""
+    """max_t trace-norm distance between the truncated and exact dynamics.
+
+    An overflowed truncated run is refused before the exact one is computed.
+    """
     tcl = propagate_state(model, rho0, grid, N, quad=quad)
+    _require_finite("truncated", tcl)
     exact = exact_reduced_trajectory(FullModel(model, rho0), grid)
-    for name, traj in (("truncated", tcl), ("exact", exact)):
-        if not np.isfinite(traj.payload).all():
-            raise ValueError(f"the {name} trajectory is not finite")
+    _require_finite("exact", exact)
     series = np.array([trace_norm(a - b)
                        for a, b in zip(tcl.payload, exact.payload)])
     if return_series:

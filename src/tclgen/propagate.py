@@ -12,7 +12,6 @@ only: nothing is renormalized or clamped.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,7 +54,7 @@ def _monitors(payload, trace_ref):
     herm = payload - np.conj(np.swapaxes(payload, 1, 2))
     herm_residual = np.linalg.norm(herm, axis=(1, 2))
     hermitized = 0.5 * (payload + np.conj(np.swapaxes(payload, 1, 2)))
-    min_eig = np.array([np.linalg.eigvalsh(m)[0] for m in hermitized])
+    min_eig = np.linalg.eigvalsh(hermitized)[:, 0]
     return trace_dev, herm_residual, min_eig
 
 
@@ -140,24 +139,18 @@ def trajectory_to_csv(traj):
     """Render a trajectory in the shared CSV schema.
 
     Columns: t, re/im of the upper triangle (row-major, i <= j), then the
-    three monitors.  Floats are %.12e so output is byte-reproducible.
+    three monitors.  Floats are %.12e so output is byte-reproducible; each
+    row is one %-format of its floats.
     """
     d = traj.payload.shape[1]
-    cols = ["t"]
-    for i in range(d):
-        for j in range(i, d):
-            cols += [f"re_{i}_{j}", f"im_{i}_{j}"]
-    cols += ["trace_dev", "herm_residual", "min_eig"]
-    buf = io.StringIO()
-    buf.write(",".join(cols) + "\n")
-    for k, t in enumerate(traj.times):
-        row = [f"{t:.12e}"]
-        for i in range(d):
-            for j in range(i, d):
-                z = traj.payload[k, i, j]
-                row += [f"{z.real:.12e}", f"{z.imag:.12e}"]
-        row += [f"{traj.trace_dev[k]:.12e}",
-                f"{traj.herm_residual[k]:.12e}",
-                f"{traj.min_eig[k]:.12e}"]
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+    rows, cols = np.triu_indices(d)
+    upper = traj.payload[:, rows, cols]
+    parts = np.stack([upper.real, upper.imag], axis=-1).reshape(len(upper), -1)
+    table = np.column_stack([traj.times, parts, traj.trace_dev,
+                             traj.herm_residual, traj.min_eig])
+    header = ["t"] + [f"{part}_{i}_{j}" for i, j in zip(rows, cols)
+                      for part in ("re", "im")]
+    header += ["trace_dev", "herm_residual", "min_eig"]
+    fmt = ",".join(["%.12e"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join(
+        fmt % tuple(row) for row in table.tolist())

@@ -52,12 +52,30 @@ costs O(2^N M (d_S^6 d_E^2 + d_S^4 d_E^3)) time and keeps only the running
 states in memory, against O(M^3) to O(M^4) per endpoint for cell-by-cell
 correlator tables.
 
-Gaussian-bath clusters recurse over the slots from the outside in: each
-slot above the last two is summed one grid point at a time, with the grid
-indices of the slots before it fixed, and the last two slots are one
-weighted double sum over the ``baths`` correlator table for that prefix.
-This has no limit on the cluster size; it costs O(M^(m-2)) table builds of
-O(M^2) each for a free cluster of m >= 2 slots.
+Gaussian-bath clusters (one evaluation per sign string and kind, every
+endpoint at once): the bath correlator does not factor into slot states, so
+only the outer slot is swept.  With ``Op_0(j)`` here the system factor of
+slot 0 alone, the free cluster at t_i is ``sum_{j0 < i} wb(j0) Op_0(j0)
+X(j0) + c(i) Op_0(i) D(i)`` and the pinned one is ``Op_0(i) P(i)``, where
+X, D and P sum the later slots with slot 0 at j0.  Each is ``core(j0) + w
+tie(j0)`` with w = wb/2, c/2 and c: the strict core puts slot 1 below j0,
+the tie term puts it at j0.  For two slots the cores at every j0 are one
+masked (M+1)^2 matmul of the pair table with the stack of slot-1 factors.
+For more, the core recurses over the slots from the outside in, one grid
+point at a time, until the last two are one weighted double sum over the
+correlator table of that prefix, built for that one use.  Below a tie the
+deeper slots can meet j0 again, with its interior weight in X and its
+endpoint weight in D and P, so these clusters have two tie terms.  A free
+cluster of m >= 2 slots then costs O(M^m) table entries and weighted
+terms for all endpoints together, as much as one endpoint evaluated on its
+own.  Only the tables over the whole grid (prefix ``()``) are kept.
+
+Expansion objects on whole-grid stacks: a term is the product of its
+cluster stacks, one batched matmul per factor, and the momenta, their
+derivatives and the orders L_n are sums and batched products of those
+stacks, cached per (order, kind).  Batched matmul multiplies each grid
+point's matrices with the same product as a single 2-D matmul, so a grid
+index of a stack has the bits of that grid point evaluated alone.
 
 Adjoint evaluation: an adjoint-kind cluster (last slot of every cluster
 MINUS) is evaluated as the transpose dual of the corresponding forward
@@ -269,12 +287,21 @@ def _theta_tilde(m1):
     return th
 
 
+def _frozen(stack):
+    """Mark a cached stack read-only, so no caller can alter the cache."""
+    stack.setflags(write=False)
+    return stack
+
+
 class GeneratorEngine:
     """Shared tables and caches for one (model, quadrature) pair.
 
-    All evaluation entry points below delegate here; reusing one engine
-    across calls is what makes the two generator paths agree to round-off
-    (they literally share the cached cluster integrals).
+    All evaluation entry points below delegate here.  Clusters, terms,
+    momenta and generator orders are evaluated on the whole grid at once,
+    as (M+1, d^2, d^2) stacks; an entry point given a grid index ``i``
+    returns that slice of the stack, and ``i=None`` returns the stack.
+    Reusing one engine across calls is what makes the two generator paths
+    agree to round-off (they literally share the cached cluster stacks).
     """
 
     def __init__(self, model, quad):
@@ -287,10 +314,9 @@ class GeneratorEngine:
         self.theta = _theta_tilde(self.grid.M + 1)
         self._weights = {}
         self._exact = isinstance(model.bath, ExactBath)
-        self._sweeps = {}
-        self._clusters = {}
-        self._mu = {}
-        self._gen = {}
+        self._clusters = {}    # (signs, kind) -> (free, pinned) stacks
+        self._mu = {}          # (n, kind, dotted) -> stack
+        self._gen = {}         # (n, kind, path) -> stack
         self._term_lists = {}
         self.d2 = model.d_S ** 2
 
@@ -311,29 +337,41 @@ class GeneratorEngine:
         return w
 
     def _check_index(self, i):
-        if not 0 <= i <= self.grid.M:
+        if i is not None and not 0 <= i <= self.grid.M:
             raise IndexError(f"t_index {i} outside grid 0..{self.grid.M}")
 
+    @staticmethod
+    def _at(stack, i):
+        """Grid index ``i`` of a stack, or the whole stack for ``i=None``."""
+        return stack if i is None else stack[i]
+
     def cluster_value(self, signs, pinned, i, kind):
-        """Ordered quadrature of one cluster as a (d^2, d^2) matrix."""
+        """Ordered quadrature of one cluster at t_i as a (d^2, d^2) matrix.
+
+        ``i=None`` gives the (M+1, d^2, d^2) stack over every endpoint.  The
+        first query evaluates the cluster at every endpoint at once: one
+        sweep per kind serves every exact-bath cluster, and a Gaussian-bath
+        cluster is one evaluation per sign string and kind.
+        """
         self._check_index(i)
         if not 1 <= len(signs) <= self.quad.max_order:
             raise ValueError(f"cluster size {len(signs)} outside "
                              f"1..{self.quad.max_order}")
-        if self._exact:
-            vals = self._sweeps.get(kind)
-            if vals is None:
-                vals = self._sweeps[kind] = self._kind_sweep(kind)
-            pair = vals.get(signs)
-            if pair is None:  # inadmissible: the outer bath sign is MINUS
-                return np.zeros((self.d2, self.d2), dtype=complex)
-            return pair[pinned][i]
-        key = (signs, pinned, i, kind)
-        val = self._clusters.get(key)
-        if val is None:
-            val = self._cluster_value(signs, pinned, i, kind)
-            self._clusters[key] = val
-        return val
+        key = (signs, kind)
+        stacks = self._clusters.get(key)
+        if stacks is None:
+            if _remap(signs, kind)[1][0] == MINUS:
+                # inadmissible: a leading MINUS bath sign traces to zero
+                return self._at(np.zeros((self.grid.M + 1, self.d2, self.d2),
+                                         dtype=complex), i)
+            if self._exact:
+                found = self._kind_sweep(kind).items()
+            else:
+                found = [(signs, self._gaussian_cluster(signs, kind))]
+            for found_signs, pair in found:
+                self._clusters[found_signs, kind] = tuple(map(_frozen, pair))
+            stacks = self._clusters[key]
+        return self._at(stacks[pinned], i)
 
     def _kind_sweep(self, kind):
         """Every admissible exact-bath cluster of one kind, at every endpoint.
@@ -431,42 +469,75 @@ class GeneratorEngine:
                 out[asigns] = vals
         return out
 
-    def _cluster_value(self, signs, pinned, i, kind):
-        """Gaussian-bath cluster quadrature, recursing over the slots.
+    def _gaussian_cluster(self, signs, kind):
+        """One Gaussian-bath cluster at every endpoint: (free, pinned) stacks.
 
-        A pinned cluster fixes slot 0 at t_i with unit weight and no
-        ordering factor towards slot 1 (the domain edge).
+        The outer slot is a running sum over its grid index j0 with the
+        sweep's weights (see the module docstring).  For each j0 the strict
+        core sums slot 1 over j1 < j0, and the tie term puts slot 1 at j0;
+        the interior state X, the endpoint state D and the pinned state P
+        are the core plus the tie with weight wb/2, c/2 and c.  Below a tie
+        at j0 the deeper slots can tie at j0 again, with the interior or the
+        endpoint weight of j0, so a cluster of three or more slots has two
+        tie terms.
         """
         asigns, dsig, eta, rev = _remap(signs, kind)
-        w = self.weights(i)
-        if not pinned:
-            return eta * self._slots(asigns, dsig, rev, w, (), w)
-        lead = self.a_tab[asigns[0]][i]
+        m1, h, a = self.grid.M + 1, self.grid.h, self.a_tab
+        wb = np.full(m1, h)
+        wb[0] = 0.5 * h
+        c = np.full(m1, 0.5 * h)
+        c[0] = 0.0
+        lead = a[asigns[0]]
         if len(signs) == 1:
-            return eta * (lead * self.ctab.pair_free(dsig)[i])
-        core = self._slots(asigns, dsig, rev, w, (i,), w)
-        return eta * (lead @ core if not rev else core @ lead)
+            lx = ld = lp = self.ctab.pair_free(dsig)[:, None, None] * lead
+        else:
+            a1 = a[asigns[1]]
+            if len(signs) == 2:
+                tab = self.ctab.pair_free(dsig)
+                strict = np.tril(tab, -1) * wb
+                core = (strict @ a1.reshape(m1, -1)).reshape(a1.shape)
+                tie_x = tie_d = np.diagonal(tab)[:, None, None] * a1
+            else:
+                core, tie_x, tie_d = np.zeros((3,) + a1.shape, dtype=complex)
+                for j in range(m1):
+                    if j:
+                        core[j] = self._slots(asigns, dsig, rev, wb, (j,),
+                                              wb[:j])
+                    wd = wb[:j + 1].copy()
+                    wd[j] = c[j]
+                    for tie, w in ((tie_x, wb[:j + 1]), (tie_d, wd)):
+                        sub = self._slots(asigns, dsig, rev, w, (j, j),
+                                          w * self.theta[j, :j + 1])
+                        tie[j] = a1[j] @ sub if not rev else sub @ a1[j]
+            lx, ld, lp = (
+                lead @ v if not rev else v @ lead
+                for v in (core + (0.5 * wb)[:, None, None] * tie_x,
+                          core + (0.5 * c)[:, None, None] * tie_d,
+                          core + c[:, None, None] * tie_d))
+        run = np.cumsum(wb[:, None, None] * lx, axis=0)
+        free = c[:, None, None] * ld
+        free[1:] += run[:-1]
+        return eta * free, eta * lp
 
     def _slots(self, asigns, dsig, rev, w, prefix, wk):
         """Weighted sum over the slots after ``prefix`` of one cluster.
 
-        ``w`` holds the trapezoid weights on [0, t_i], ``prefix`` the grid
-        indices of the earlier slots and ``wk`` the weights of the next slot
-        on grid points 0..len(wk)-1, its ordering factor included.  Slots
-        are summed one grid point at a time until two remain; those are one
-        double sum over the correlator table with the prefix fixed.
+        ``w`` holds the trapezoid weights of the later slots, ``prefix`` the
+        grid indices of the earlier slots and ``wk`` the weights of the next
+        slot on grid points 0..len(wk)-1, its ordering factor included.
+        Slots are summed one grid point at a time until one or two remain;
+        those are one weighted sum over the correlator table of the prefix,
+        built on grid points 0..len(wk)-1 alone for this one use.
         """
-        k, a = len(prefix), self.a_tab
-        sl = slice(0, len(wk))
+        k, a, n = len(prefix), self.a_tab, len(wk)
         left = len(asigns) - k
         if left == 1:
-            # only m <= 2 gets here, so the pair table holds the row
-            row = self.ctab.pair_free(dsig)[prefix][sl]
-            return np.einsum("j,jab->ab", wk * row, a[asigns[k]][sl])
+            row = self.ctab.chain_rows(dsig, prefix, n)
+            return np.einsum("j,jab->ab", wk * row, a[asigns[k]][:n])
         if left == 2:
-            tab = self.ctab.chain_rows(dsig, prefix)
-            wd = wk[:, None] * w[None, sl] * self.theta[sl, sl] * tab[sl, sl]
-            first, second = a[asigns[k]][sl], a[asigns[k + 1]][sl]
+            tab = self.ctab.chain_rows(dsig, prefix, n)
+            wd = wk[:, None] * w[None, :n] * self.theta[:n, :n] * tab
+            first, second = a[asigns[k]][:n], a[asigns[k + 1]][:n]
             if not rev:
                 inner = np.einsum("ab,bjk->ajk", wd, second)
                 return np.einsum("aij,ajk->ik", first, inner)
@@ -480,30 +551,33 @@ class GeneratorEngine:
             out += wk[j] * (lead @ core if not rev else core @ lead)
         return out
 
-    # -- expansion objects ----------------------------------------------
+    # -- expansion objects on the whole grid ----------------------------
 
-    def term_value(self, term, i):
+    def term_value(self, term, i=None):
+        """One symbolic term at t_i, or its stack over the grid (``i=None``).
+
+        The cluster factors multiply as stacks, one batched matmul each.
+        """
         if term.order > self.quad.max_order:
             raise ValueError(f"term order {term.order} exceeds max_order "
                              f"{self.quad.max_order}")
         self._check_index(i)
         if term.order == 0:
-            return term.coeff * np.eye(self.d2, dtype=complex)
-        mats = []
-        for k, (sl, block) in enumerate(zip(term.cluster_slices(),
-                                            term.cluster_signs())):
-            pinned = term.pinned and k == 0
-            mats.append(self.cluster_value(block, pinned, i, term.kind))
-        out = mats[0]
-        for mat in mats[1:]:
-            out = out @ mat
-        return term.coeff * out
+            out = np.broadcast_to(np.eye(self.d2, dtype=complex),
+                                  (self.grid.M + 1, self.d2, self.d2))
+        else:
+            out = None
+            for k, block in enumerate(term.cluster_signs()):
+                stack = self.cluster_value(block, term.pinned and k == 0,
+                                           None, term.kind)
+                out = stack if out is None else out @ stack
+        return self._at(term.coeff * out, i)
 
     def _terms(self, make, n, kind):
         """Sorted terms of ``make(n, kind)``, built once per engine.
 
         Iterating a ``TermPolynomial`` rebuilds and sorts its terms, so the
-        grid loops below read this tuple instead.
+        sums below read this tuple instead.
         """
         key = (make, n, kind)
         val = self._term_lists.get(key)
@@ -511,39 +585,45 @@ class GeneratorEngine:
             val = self._term_lists[key] = tuple(make(n, kind))
         return val
 
-    def mu(self, n, i, kind=SCHRODINGER, dotted=False):
-        key = (n, i, kind, dotted)
+    def mu(self, n, i=None, kind=SCHRODINGER, dotted=False):
+        self._check_index(i)
+        key = (n, kind, dotted)
         val = self._mu.get(key)
         if val is None:
             make = momentum_derivative_terms if dotted else momentum_terms
-            val = sum(self.term_value(t, i)
-                      for t in self._terms(make, n, kind))
-            self._mu[key] = val
-        return val
+            val = self._mu[key] = _frozen(sum(
+                self.term_value(t) for t in self._terms(make, n, kind)))
+        return self._at(val, i)
 
-    def generator_order(self, n, i, kind=SCHRODINGER, path=MATRIX_RECURSION):
+    def generator_order(self, n, i=None, kind=SCHRODINGER,
+                        path=MATRIX_RECURSION):
         """The n-th expansion coefficient L_n(t_i) without its i^n weight."""
-        if path == TERM_EXPANSION:
-            return sum(self.term_value(t, i)
-                       for t in self._terms(generator_terms, n, kind))
-        if path != MATRIX_RECURSION:
+        if path not in (TERM_EXPANSION, MATRIX_RECURSION):
             raise ValueError(f"unknown generator path {path!r}")
-        key = (n, i, kind)
+        self._check_index(i)
+        key = (n, kind, path)
         val = self._gen.get(key)
         if val is None:
-            val = self.mu(n, i, kind, dotted=True).copy()
-            for k in range(1, n):
-                val -= self.generator_order(n - k, i, kind) @ self.mu(k, i, kind)
-            self._gen[key] = val
-        return val
+            if path == TERM_EXPANSION:
+                val = sum(self.term_value(t)
+                          for t in self._terms(generator_terms, n, kind))
+            else:
+                val = self.mu(n, None, kind, dotted=True).copy()
+                for k in range(1, n):
+                    val -= (self.generator_order(n - k, None, kind)
+                            @ self.mu(k, None, kind))
+            self._gen[key] = _frozen(val)
+        return self._at(val, i)
 
-    def generator(self, levels, i, kind=SCHRODINGER, path=MATRIX_RECURSION):
+    def generator(self, levels, i=None, kind=SCHRODINGER,
+                  path=MATRIX_RECURSION):
         """Truncated generator: sum of (-i)^n L_n (or i^n for the adjoint)."""
+        self._check_index(i)
         base = 1j if kind == ADJOINT else -1j
-        out = np.zeros((self.d2, self.d2), dtype=complex)
+        out = np.zeros((self.grid.M + 1, self.d2, self.d2), dtype=complex)
         for n in range(1, levels + 1):
-            out += base ** n * self.generator_order(n, i, kind, path)
-        return out
+            out += base ** n * self.generator_order(n, None, kind, path)
+        return self._at(out, i)
 
     # -- Van Kampen evaluation ------------------------------------------
 
@@ -644,11 +724,7 @@ def generator_table(model, quad, N, path=MATRIX_RECURSION):
         raise ValueError(f"N must be in 1..{quad.max_order}")
     kind = _kind_of(model)
     _require_stationary_for_adjoint(model, kind)
-    eng = engine_for(model, quad)
-    out = np.empty((quad.grid.M + 1, eng.d2, eng.d2), dtype=complex)
-    for i in range(quad.grid.M + 1):
-        out[i] = eng.generator(N, i, kind, path)
-    return out
+    return engine_for(model, quad).generator(N, None, kind, path)
 
 
 def evaluate_vk_generator(n, t_index, model, quad):

@@ -405,3 +405,17 @@ class TestCorrelatorTables:
             gb, CorrelationQuery("+--+", (times[6], times[4], times[2],
                                           times[0])))
         assert abs(first[3][0] - want) < 1e-13
+
+    def test_partial_tables_are_built_for_one_use(self):
+        gb = GaussianBath(thermal_mode_two_point(1.0, beta=1.2),
+                          mean=lambda tau: 0.3)
+        tab = correlator_table(gb, np.linspace(0, 2.0, 9))
+        for signs, prefix in (("+-+", (7,)), ("+--+", (8, 6)),
+                              ("+-+", (6, 6))):
+            part = tab.chain_rows(signs, prefix, 5)
+            full = tab.chain_rows(signs, prefix)
+            idx = (slice(0, 5),) * (len(signs) - len(prefix))
+            assert part.shape == full[idx].shape
+            assert part.tobytes() == full[idx].tobytes()
+            assert tab.chain_rows(signs, prefix, 5) is not part
+        assert len(tab._tables) == 3  # only the whole-grid tables are kept

@@ -381,6 +381,47 @@ class TestErrorPaths:
         assert "not finite" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command", ["propagate", "compare"])
+    def test_overflow_is_refused_quietly(self, config_path, tmp_path,
+                                         command):
+        # numpy's overflow warnings would precede the refusal on stderr
+        cfg = dephasing_config(grid={"T": 1.0, "M": 20})
+        cfg["model"]["g"] = 1e200
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(tclgen.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "tclgen.cli", command, "--config",
+             config_path(cfg), "--out", str(tmp_path / "x")],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == 3
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("validation error:")
+        assert "not finite" in lines[0]
+
+    @pytest.mark.parametrize("couplings", [None, [0.05, 1e200]],
+                             ids=["compare", "compare-couplings"])
+    def test_overflow_skips_the_oracle(self, config_path, tmp_path,
+                                       monkeypatch, couplings):
+        from tclgen import oracle
+        calls = []
+        exact = oracle.exact_reduced_trajectory
+
+        def counted(*args):
+            calls.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(oracle, "exact_reduced_trajectory", counted)
+        cfg = dephasing_config(grid={"T": 1.0, "M": 20})
+        if couplings is None:
+            cfg["model"]["g"] = 1e200
+        else:
+            cfg["couplings"] = couplings
+        assert main(["compare", "--config", config_path(cfg),
+                     "--out", str(tmp_path / "x")]) == 3
+        # only the finite run at g = 0.05 reaches the oracle, once for the
+        # comparison and once for the first coupling of the probe
+        assert len(calls) == (0 if couplings is None else 2)
+
     def test_summary_refuses_non_finite_values(self, tmp_path):
         from tclgen.cli import _summary
         with pytest.raises(ValueError):

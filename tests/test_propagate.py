@@ -148,6 +148,50 @@ def test_trajectory_invariants_and_csv():
     assert all(len(line.split(",")) == 10 for line in lines[1:])
 
 
+def cell_by_cell_csv(traj):
+    """The CSV schema written one f-string per cell, as a byte reference."""
+    d = traj.payload.shape[1]
+    cols = ["t"]
+    for i in range(d):
+        for j in range(i, d):
+            cols += [f"re_{i}_{j}", f"im_{i}_{j}"]
+    lines = [",".join(cols + ["trace_dev", "herm_residual", "min_eig"])]
+    for k, t in enumerate(traj.times):
+        row = [f"{t:.12e}"]
+        for i in range(d):
+            for j in range(i, d):
+                z = traj.payload[k, i, j]
+                row += [f"{z.real:.12e}", f"{z.imag:.12e}"]
+        row += [f"{traj.trace_dev[k]:.12e}", f"{traj.herm_residual[k]:.12e}",
+                f"{traj.min_eig[k]:.12e}"]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_csv_rows_match_cell_by_cell_formatting(d):
+    # signed zeros, subnormal-adjacent and huge values keep their bytes
+    m1 = 9
+    payload = rng.normal(size=(m1, d, d)) + 1j * rng.normal(size=(m1, d, d))
+    payload[1, 0, 0] = complex(-0.0, 1e-300)
+    payload[2, 0, 1] = complex(1e-300, -0.0)
+    payload[3, d - 1, d - 1] = complex(-1e300, 5e-324)
+    monitors = [rng.normal(size=m1) for _ in range(3)]
+    monitors[0][4], monitors[1][5], monitors[2][6] = -0.0, 1e-300, -1e-300
+    traj = Trajectory(np.linspace(0.0, 2.0, m1), payload, *monitors)
+    assert trajectory_to_csv(traj) == cell_by_cell_csv(traj)
+    assert "-0.000000000000e+00" in trajectory_to_csv(traj)
+
+
+def test_min_eig_monitor_matches_one_call_per_step():
+    from tclgen.propagate import _monitors
+    x = rng.normal(size=(12, 3, 3)) + 1j * rng.normal(size=(12, 3, 3))
+    payload = x + np.conj(np.swapaxes(x, 1, 2)) + 0.1 * x
+    hermitized = 0.5 * (payload + np.conj(np.swapaxes(payload, 1, 2)))
+    want = np.array([np.linalg.eigvalsh(m)[0] for m in hermitized])
+    assert _monitors(payload, 1.0)[2].tobytes() == want.tobytes()
+
+
 def test_observable_checks_the_quadrature_grid():
     bath = boson_mode_bath(1.0, 6, shift=0.7)
     model = ModelSpec(0.5 * SZ + 0.2 * SX, SX, 0.3, bath)

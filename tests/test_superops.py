@@ -492,6 +492,74 @@ class TestSuffixTrieSweep:
             eng.cluster_value("-+-", False, 4, SCHRODINGER)
 
 
+class TestWholeGridStacks:
+    """The recursion runs on (M+1, d^2, d^2) stacks; single times index them."""
+
+    @pytest.mark.parametrize("path", [MATRIX_RECURSION, TERM_EXPANSION])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("backend", ["exact", "gaussian"])
+    def test_table_is_the_stack_of_single_times(self, backend, adjoint, path):
+        model = rand_model() if backend == "exact" else gaussian_model(True)
+        model = replace(model, adjoint=adjoint)
+        grid = Grid(0.8, 12)
+        tab = generator_table(model, QuadratureConfig(grid, max_order=4), 4,
+                              path)
+        quad = QuadratureConfig(grid, max_order=4)
+        single = np.stack([assemble_generator(4, i, model, quad, path)
+                           for i in range(grid.M + 1)])
+        assert tab.tobytes() == single.tobytes()
+        assert np.abs(tab).max() > 0
+
+    def test_gaussian_cluster_is_evaluated_once_per_signs_and_kind(
+            self, monkeypatch):
+        from collections import Counter
+
+        from tclgen.superops import GeneratorEngine
+        from tclgen.terms import generator_terms
+        calls = Counter()
+        evaluate = GeneratorEngine._gaussian_cluster
+
+        def counted(self, signs, kind):
+            calls[signs, kind] += 1
+            return evaluate(self, signs, kind)
+
+        monkeypatch.setattr(GeneratorEngine, "_gaussian_cluster", counted)
+        model = gaussian_model(True)
+        quad = QuadratureConfig(Grid(0.8, 12), max_order=3)
+        for kind_model in (model, replace(model, adjoint=True)):
+            for path in (MATRIX_RECURSION, TERM_EXPANSION):
+                generator_table(kind_model, quad, 3, path)
+        wanted = {(block, kind) for kind in (SCHRODINGER, ADJOINT)
+                  for n in (1, 2, 3) for term in generator_terms(n, kind)
+                  for block in term.cluster_signs()}
+        assert wanted <= set(calls)
+        assert set(calls.values()) == {1}
+
+    def test_gaussian_prefix_tables_are_not_kept(self):
+        import tracemalloc
+        model = ModelSpec(0.5 * SZ + 0.2 * SX, SX, 0.3,
+                          GaussianBath(thermal_mode_two_point(1.0, beta=1.0)))
+        quad = QuadratureConfig(Grid(5.0, 32), max_order=4)
+        tracemalloc.start()
+        try:
+            tab = generator_table(model, quad, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(tab).all()
+        assert peak < 10 * 2 ** 20
+        tables = engine_for(model, quad).ctab._tables
+        assert all(prefix == () for _, prefix in tables)
+
+    def test_cached_stacks_are_read_only(self, setup):
+        model, grid, quad = setup
+        eng = engine_for(model, quad)
+        for val in (eng.cluster_value("-+", True, 5, SCHRODINGER),
+                    eng.mu(2, 5), eng.generator_order(2, 5)):
+            with pytest.raises(ValueError):
+                val[0, 0] = 1.0
+
+
 class TestFrozenSpecs:
     def test_model_and_grid_cannot_change_under_a_cached_engine(self):
         bath = boson_mode_bath(1.0, 6, shift=0.7)
