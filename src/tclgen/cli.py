@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -277,15 +276,16 @@ def cmd_evaluate(args, parsed):
     table = superops.generator_table(model, quad, parsed["order"],
                                      path=_gen_path(parsed))
     _require_finite("generator table", table)
-    buf = io.StringIO()
-    buf.write("t,row,col,re,im\n")
-    d2 = model.d_S ** 2
-    for i, t in enumerate(grid.times):
-        for r in range(d2):
-            for c in range(d2):
-                z = table[i, r, c]
-                buf.write(f"{t:.12e},{r},{c},{z.real:.12e},{z.imag:.12e}\n")
-    _write(args.out, "generator.csv", buf.getvalue())
+    # one line per matrix entry, grid time outermost, then row, then column
+    cells = table[0].size
+    row, col = np.divmod(np.tile(np.arange(cells), len(table)),
+                         table.shape[2])
+    flat = table.reshape(-1)
+    entries = np.column_stack([np.repeat(grid.times, cells), row, col,
+                               flat.real, flat.imag])
+    _write(args.out, "generator.csv", "t,row,col,re,im\n"
+           + propagate.format_rows(entries, ["%.12e", "%d", "%d", "%.12e",
+                                             "%.12e"]))
     _summary(args.out, {
         "task": "evaluate",
         "order": parsed["order"],
@@ -354,11 +354,9 @@ def cmd_compare(args, parsed):
         # before any write: a coupling may overflow and be refused
         scaling = oracle.scaling_probe(model, parsed["rho0"], grid,
                                        parsed["order"], parsed["couplings"])
-    buf = io.StringIO()
-    buf.write("t,trace_distance\n")
-    for t, val in zip(grid.times, series):
-        buf.write(f"{t:.12e},{val:.12e}\n")
-    _write(args.out, "distance.csv", buf.getvalue())
+    _write(args.out, "distance.csv", "t,trace_distance\n"
+           + propagate.format_rows(np.column_stack([grid.times, series]),
+                                   ["%.12e"] * 2))
     _summary(args.out, {
         "task": "compare",
         "order": parsed["order"],

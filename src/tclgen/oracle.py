@@ -117,8 +117,6 @@ def duality_check(model, O0, rho0, quad, orders=(1, 2, 3)):
 
     For each order n: | Tr[O0 (-i)^n mu_n rho] - Tr[(i^n mu~_n O0) rho] |.
     """
-    if isinstance(model.bath, ExactBath) and not model.bath.is_stationary():
-        raise ValueError("duality check requires a stationary bath")
     i = quad.grid.M
     out = {}
     for n in orders:

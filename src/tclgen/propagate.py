@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from tclgen.baths import ExactBath
 from tclgen.superops import (
     MATRIX_RECURSION,
     QuadratureConfig,
@@ -98,20 +97,24 @@ def _quad_for(grid, N, quad):
     return quad
 
 
+def _propagate(model, x0, grid, N, quad, path, adjoint, trace_ref):
+    """RK4 trajectory of ``x0`` under the forward or the adjoint generator."""
+    quad = _quad_for(grid, N, quad)
+    work = (model if model.adjoint == adjoint
+            else replace(model, adjoint=adjoint))
+    l_tab = generator_table(work, quad, N, path)
+    d = model.d_S
+    payload = _rk4_run(l_tab, x0, grid.h).reshape(-1, d, d)
+    return Trajectory(grid.times.copy(), payload,
+                      *_monitors(payload, trace_ref))
+
+
 def propagate_state(model, rho0, grid, N, quad=None, path=MATRIX_RECURSION):
     """Integrate the truncated master equation for the state."""
     rho0 = _validate_state(rho0)
     if rho0.shape[0] != model.d_S:
         raise ValueError("rho0 dimension does not match the model")
-    quad = _quad_for(grid, N, quad)
-    work = replace(model, adjoint=False) if model.adjoint else model
-    l_tab = generator_table(work, quad, N, path)
-    flat = _rk4_run(l_tab, rho0, grid.h)
-    d = model.d_S
-    payload = flat.reshape(-1, d, d)
-    trace_dev, herm_residual, min_eig = _monitors(payload, 1.0)
-    return Trajectory(grid.times.copy(), payload, trace_dev, herm_residual,
-                      min_eig)
+    return _propagate(model, rho0, grid, N, quad, path, False, 1.0)
 
 
 def propagate_observable(model, O0, grid, N, quad=None, path=MATRIX_RECURSION):
@@ -121,26 +124,24 @@ def propagate_observable(model, O0, grid, N, quad=None, path=MATRIX_RECURSION):
         raise ValueError("O0 must be Hermitian")
     if O0.shape[0] != model.d_S:
         raise ValueError("O0 dimension does not match the model")
-    if isinstance(model.bath, ExactBath) and not model.bath.is_stationary():
-        raise ValueError("adjoint propagation requires a stationary bath")
-    quad = _quad_for(grid, N, quad)
-    work = model if model.adjoint else replace(model, adjoint=True)
-    l_tab = generator_table(work, quad, N, path)
-    flat = _rk4_run(l_tab, O0, grid.h)
-    d = model.d_S
-    payload = flat.reshape(-1, d, d)
-    trace_dev, herm_residual, min_eig = _monitors(payload,
-                                                  float(np.real(np.trace(O0))))
-    return Trajectory(grid.times.copy(), payload, trace_dev, herm_residual,
-                      min_eig)
+    return _propagate(model, O0, grid, N, quad, path, True,
+                      float(np.real(np.trace(O0))))
+
+
+def format_rows(table, fmt):
+    """CSV lines of a 2-D table; ``fmt`` lists one %-conversion per column.
+
+    Floats use ``%.12e``, so the output is byte-reproducible.
+    """
+    line = ",".join(fmt) + "\n"
+    return "".join(line % tuple(row) for row in np.asarray(table).tolist())
 
 
 def trajectory_to_csv(traj):
     """Render a trajectory in the shared CSV schema.
 
     Columns: t, re/im of the upper triangle (row-major, i <= j), then the
-    three monitors.  Floats are %.12e so output is byte-reproducible; each
-    row is one %-format of its floats.
+    three monitors.  Floats are %.12e so output is byte-reproducible.
     """
     d = traj.payload.shape[1]
     rows, cols = np.triu_indices(d)
@@ -151,6 +152,5 @@ def trajectory_to_csv(traj):
     header = ["t"] + [f"{part}_{i}_{j}" for i, j in zip(rows, cols)
                       for part in ("re", "im")]
     header += ["trace_dev", "herm_residual", "min_eig"]
-    fmt = ",".join(["%.12e"] * len(header)) + "\n"
-    return ",".join(header) + "\n" + "".join(
-        fmt % tuple(row) for row in table.tolist())
+    return ",".join(header) + "\n" + format_rows(table,
+                                                ["%.12e"] * len(header))

@@ -14,14 +14,27 @@ These conventions make the term-expansion path, the matrix-recursion path
 and the Van Kampen evaluation agree to round-off, not merely to quadrature
 accuracy.
 
-Exact-bath clusters (one sweep per kind, every cluster and endpoint at
-once): a cluster of m slots, after the adjoint remap below, is carried from
-the inside out as running joint system x bath states of shape
-(d^2, d^2, d_E, d_E).  ``Op_k(j)`` multiplies the system factor of slot k at
-t_j into the state (on the right for adjoint chains) and applies
-``(phi_j Y +- Y phi_j)/2`` to its bath factor.  With the interior weight
-``wb(0) = h/2, wb(j>0) = h`` and the corner weight ``c(0) = 0,
-c(j>0) = h/2``::
+One cluster contract for both bath backends.  For each forward sign string
+(first slot MINUS) a backend returns the outer-slot terms X(j0), D(j0) and
+P(j0) as (M+1, d^2, d^2) stacks, already multiplied by the system factor
+of slot 0 at t_j0: X sums the later slots with the interior weight of j0,
+D with its endpoint weight, and P is the pinned variant.  With
+``wb(0) = h/2, wb(j>0) = h`` and ``c(0) = 0, c(j>0) = h/2``, one sum gives
+the free cluster at t_i, ``sum_{j0 < i} wb(j0) X(j0) + c(i) D(i)``, and the
+pinned one is P(i).  An adjoint-kind cluster (last slot of every cluster
+MINUS) is the transpose dual of the forward chain of its reversed sign
+string, run in the transposed system factors: transposed back and times
+(-1)^(number of PLUS slots), its pinned, latest time acts first on the
+observable and its bath factor is a standard correlator, which makes
+state/observable duality hold numerically order by order.  The dual needs
+a stationary bath state, so an adjoint cluster on a non-stationary exact
+bath is refused.
+
+Exact-bath clusters (one sweep per kind): a chain of m slots is carried
+from the inside out as running joint system x bath states of shape
+(d^2, d^2, d_E, d_E).  ``Op_k(j)`` multiplies the system factor of slot k
+at t_j into the state and applies ``(phi_j Y +- Y phi_j)/2`` to its bath
+factor::
 
     X_{m-1}(j) = D_{m-1}(j) = Op_{m-1}(j)[rho_E]
     X_k(j) = Op_k(j)[E_{k+1}(j) + wb(j)/2 X_{k+1}(j)]
@@ -29,11 +42,10 @@ c(j>0) = h/2``::
     E_k(j) = sum_{j' < j} wb(j') X_k(j')
 
 X is the slot state for an interior point, D the one whose latest time is
-the endpoint itself, and E the strict running sum.  The free cluster at t_i
-is ``Tr_E[E_0(i) + c(i) D_0(i)]`` and the pinned one is
-``Tr_E Op_0(i)[E_1(i) + c(i) D_1(i)]``; this is the same iterated trapezoid
-with tie and edge weights, to round-off.  Both share slots 1..m-1, so one
-sweep j = 0..M gives both.  A nonzero cluster has a PLUS outer bath sign,
+the endpoint itself, and E the strict running sum.  The outer-slot terms
+are ``Tr_E X_0``, ``Tr_E D_0`` and ``Tr_E Op_0(j)[E_1(j) + c(j) D_1(j)]``;
+the outer-slot sum then gives the same iterated trapezoid with tie and
+edge weights, to round-off.  A nonzero cluster has a PLUS outer bath sign,
 so slot 0 is only ever needed traced and costs no d_E^3 work.
 
 The X, D and E states of slot k depend only on the suffix of the sign
@@ -52,13 +64,10 @@ costs O(2^N M (d_S^6 d_E^2 + d_S^4 d_E^3)) time and keeps only the running
 states in memory, against O(M^3) to O(M^4) per endpoint for cell-by-cell
 correlator tables.
 
-Gaussian-bath clusters (one evaluation per sign string and kind, every
-endpoint at once): the bath correlator does not factor into slot states, so
-only the outer slot is swept.  With ``Op_0(j)`` here the system factor of
-slot 0 alone, the free cluster at t_i is ``sum_{j0 < i} wb(j0) Op_0(j0)
-X(j0) + c(i) Op_0(i) D(i)`` and the pinned one is ``Op_0(i) P(i)``, where
-X, D and P sum the later slots with slot 0 at j0.  Each is ``core(j0) + w
-tie(j0)`` with w = wb/2, c/2 and c: the strict core puts slot 1 below j0,
+Gaussian-bath clusters (one evaluation per sign string and kind): the bath
+correlator does not factor into slot states, so the later slots are summed
+per outer index j0.  Each outer-slot term is ``core(j0) + w tie(j0)`` with
+w = wb/2, c/2 and c for X, D and P: the strict core puts slot 1 below j0,
 the tie term puts it at j0.  For two slots the cores at every j0 are one
 masked (M+1)^2 matmul of the pair table with the stack of slot-1 factors.
 For more, the core recurses over the slots from the outside in, one grid
@@ -76,14 +85,6 @@ derivatives and the orders L_n are sums and batched products of those
 stacks, cached per (order, kind).  Batched matmul multiplies each grid
 point's matrices with the same product as a single 2-D matmul, so a grid
 index of a stack has the bits of that grid point evaluated alone.
-
-Adjoint evaluation: an adjoint-kind cluster (last slot of every cluster
-MINUS) is evaluated as the transpose dual of the corresponding forward
-chain: the system factors multiply in reversed slot order (the pinned,
-latest time acts first on the observable) and the bath factor reduces to a
-standard correlator with the sign string reversed, times a parity factor
-(-1)^(number of PLUS slots).  This is what makes state/observable duality
-hold numerically order by order.
 """
 
 from __future__ import annotations
@@ -243,40 +244,31 @@ def build_system_superops(model, grid):
     return {PLUS: lmul + rmul, MINUS: lmul - rmul}
 
 
-def _remap(signs, kind):
-    """Slot signs, bath signs, parity and order flag of a cluster.
-
-    An adjoint cluster is the transpose dual of a forward chain: reversed
-    factor order, reversed bath string and a parity factor from the
-    commutator duals.
-    """
-    if kind == ADJOINT:
-        parity = (-1) ** signs.count(PLUS)
-        return signs[::-1], flip_signs(signs)[::-1], parity, True
-    return signs, flip_signs(signs), 1, False
-
-
 # trie order of a slot sign, and the bath sign that multiplies z phi in
 # that slot's Op (the bath string is the flipped system string)
 _TRIE_SIGNS = (MINUS, PLUS)
 _BATH_SIGN = (1.0, -1.0)
 
 
-def _slot_op(fac_j, half_j, bsign, y, out):
+def _slot_op(fac_j, half_j, bsign, y, out, work):
     """``out = Op(j)[y]`` for a stack of joint states; ``half_j = phi_j/2``.
 
     The system factor multiplies each state by one matmul per state; both
     bath products are one 2-D matmul over the whole stack, ``phi_j z`` on a
     transposed copy.  Halving is exact in binary floating point, so folding
     the 1/2 and the bath sign into phi gives the bits of
-    ``(phi_j z +- z phi_j)/2``.
+    ``(phi_j z +- z phi_j)/2``.  The products go to ``work``, three flat
+    arrays of at least ``y.size`` elements.
     """
     d2, de = fac_j.shape[0], half_j.shape[0]
-    z = np.matmul(fac_j, y.reshape(-1, d2, d2 * de * de))
-    zt = np.ascontiguousarray(z.reshape(-1, de, de).transpose(0, 2, 1))
-    pz = (zt.reshape(-1, de) @ half_j.T).reshape(-1, de, de)
-    zp = (z.reshape(-1, de) @ (bsign * half_j)).reshape(out.shape)
-    np.add(pz.transpose(0, 2, 1).reshape(out.shape), zp, out=out)
+    z, zt, zp = (w[:y.size].reshape(-1, de, de) for w in work)
+    np.matmul(fac_j, y.reshape(-1, d2, d2 * de * de),
+              out=z.reshape(-1, d2, d2 * de * de))
+    np.copyto(zt, z.transpose(0, 2, 1))
+    np.matmul(z.reshape(-1, de), bsign * half_j, out=zp.reshape(-1, de))
+    pz = np.matmul(zt.reshape(-1, de), half_j.T, out=z.reshape(-1, de))
+    np.add(pz.reshape(-1, de, de).transpose(0, 2, 1).reshape(out.shape),
+           zp.reshape(out.shape), out=out)
 
 
 def _theta_tilde(m1):
@@ -309,15 +301,24 @@ class GeneratorEngine:
         self.quad = quad
         self.grid = quad.grid
         self.a_tab = build_system_superops(model, self.grid)
+        # system factors of the forward chains of each kind: an adjoint
+        # cluster is a forward chain in the transposed factors
+        self.factors = {SCHRODINGER: self.a_tab,
+                        ADJOINT: {s: tab.transpose(0, 2, 1)
+                                  for s, tab in self.a_tab.items()}}
         self.ctab = correlator_table(scaled_bath(model.bath, model.g),
                                      self.grid.times)
-        self.theta = _theta_tilde(self.grid.M + 1)
-        self._weights = {}
+        m1, h = self.grid.M + 1, self.grid.h
+        self.theta = _theta_tilde(m1)
+        # trapezoid weights of a grid point: interior wb, endpoint corner c
+        self.wb = np.full(m1, h)
+        self.wb[0] = 0.5 * h
+        self.c = np.full(m1, 0.5 * h)
+        self.c[0] = 0.0
         self._exact = isinstance(model.bath, ExactBath)
         self._clusters = {}    # (signs, kind) -> (free, pinned) stacks
         self._mu = {}          # (n, kind, dotted) -> stack
         self._gen = {}         # (n, kind, path) -> stack
-        self._term_lists = {}
         self.d2 = model.d_S ** 2
 
     # the sweep applies Op to batches of at most this many matrix elements
@@ -326,14 +327,9 @@ class GeneratorEngine:
     # -- quadrature primitives ------------------------------------------
 
     def weights(self, i):
-        w = self._weights.get(i)
-        if w is None:
-            if i == 0:
-                w = np.zeros(1)
-            else:
-                w = np.full(i + 1, self.grid.h)
-                w[0] = w[-1] = 0.5 * self.grid.h
-            self._weights[i] = w
+        """Trapezoid weights of grid points 0..i on [0, t_i]."""
+        w = self.wb[:i + 1].copy()
+        w[i] = self.c[i]
         return w
 
     def _check_index(self, i):
@@ -351,7 +347,9 @@ class GeneratorEngine:
         ``i=None`` gives the (M+1, d^2, d^2) stack over every endpoint.  The
         first query evaluates the cluster at every endpoint at once: one
         sweep per kind serves every exact-bath cluster, and a Gaussian-bath
-        cluster is one evaluation per sign string and kind.
+        cluster is one evaluation per sign string and kind.  Both backends
+        return forward outer-slot terms; the outer-slot sum and the adjoint
+        mapping are done here (see the module docstring).
         """
         self._check_index(i)
         if not 1 <= len(signs) <= self.quad.max_order:
@@ -360,52 +358,74 @@ class GeneratorEngine:
         key = (signs, kind)
         stacks = self._clusters.get(key)
         if stacks is None:
-            if _remap(signs, kind)[1][0] == MINUS:
+            adjoint = kind == ADJOINT
+            if (adjoint and self._exact
+                    and not self.model.bath.is_stationary()):
+                raise ValueError("adjoint evaluation requires a stationary "
+                                 "bath")
+            forward = signs[::-1] if adjoint else signs
+            if forward[0] != MINUS:
                 # inadmissible: a leading MINUS bath sign traces to zero
                 return self._at(np.zeros((self.grid.M + 1, self.d2, self.d2),
                                          dtype=complex), i)
             if self._exact:
                 found = self._kind_sweep(kind).items()
             else:
-                found = [(signs, self._gaussian_cluster(signs, kind))]
-            for found_signs, pair in found:
-                self._clusters[found_signs, kind] = tuple(map(_frozen, pair))
+                found = [(forward, self._gaussian_cluster(forward, kind))]
+            for chain, outer in found:
+                pair = self._outer_sum(*outer)
+                if adjoint:
+                    eta = (-1) ** chain.count(PLUS)
+                    pair = tuple(eta * v.transpose(0, 2, 1) for v in pair)
+                    chain = chain[::-1]
+                self._clusters[chain, kind] = tuple(map(_frozen, pair))
             stacks = self._clusters[key]
         return self._at(stacks[pinned], i)
 
-    def _kind_sweep(self, kind):
-        """Every admissible exact-bath cluster of one kind, at every endpoint.
+    def _outer_sum(self, x, d, p):
+        """``(free, pinned)`` stacks from the outer-slot terms X, D and P.
 
-        Returns ``{signs: (free, pinned)}`` with (M+1, d^2, d^2) arrays for
-        each admissible sign string of size 1..max_order, so that indexing
-        a pair with the ``pinned`` flag selects one.  The slot states are
-        indexed by the suffix of the remapped string they depend on: level
-        L of the trie holds the X, D and running E states of all 2^L
-        suffixes, and the leading sign of a suffix is bit 0 of its index.
-        See the module docstring for the recurrence.  Adjoint chains
-        multiply on the right, so they are swept transposed in the system
-        indices.
+        ``free(i) = sum_{j0 < i} wb(j0) X(j0) + c(i) D(i)``, with the strict
+        sum accumulated in grid order, and ``pinned = P``.
         """
-        rev = kind == ADJOINT
+        free = np.zeros_like(x)
+        np.cumsum(self.wb[:-1, None, None] * x[:-1], axis=0, out=free[1:])
+        free += self.c[:, None, None] * d
+        return free, p
+
+    def _kind_sweep(self, kind):
+        """Outer-slot terms of every admissible exact-bath chain of one kind.
+
+        Returns ``{signs: (X, D, P)}`` with (M+1, d^2, d^2) arrays for each
+        forward sign string of size 1..max_order, in the system factors
+        ``self.factors[kind]``.  The slot states are indexed by the suffix
+        of the string they depend on: level L of the trie holds the X, D
+        and running E states of all 2^L suffixes, and the leading sign of a
+        suffix is bit 0 of its index.  See the module docstring for the
+        recurrence.
+        """
+        tab = self.factors[kind]
         m1, d2, top = self.grid.M + 1, self.d2, self.quad.max_order
-        h = self.grid.h
         phi = self.ctab.phi_tab
         rho = self.ctab.bath.rho_E
         de = rho.shape[0]
         shape = (d2, d2, de, de)
-        fac = np.stack([self.a_tab[s] for s in _TRIE_SIGNS])
-        if rev:
-            fac = fac.transpose(0, 1, 3, 2)
+        fac = np.stack([tab[s] for s in _TRIE_SIGNS])
         bsign = np.array(_BATH_SIGN)[:, None, None]
         lead = fac[0]  # the outer slot of an admissible string is MINUS
         per = max(1, self.CHUNK // (2 * d2 * d2 * de * de))
-        free = [np.zeros((m1, 2 ** lv, d2, d2), dtype=complex)
-                for lv in range(top)]
-        pinned = [np.zeros_like(f) for f in free]
-        top_run = [np.zeros(f.shape[1:], dtype=complex) for f in free]
+        outer = [np.zeros((3, m1, 2 ** lv, d2, d2), dtype=complex)
+                 for lv in range(top)]
         run = [None] + [np.zeros((2 ** lv,) + shape, dtype=complex)
                         for lv in range(1, top)]
         base = (np.eye(d2)[:, :, None, None] * rho)[None]
+        # work space allocated once: state-sized temporaries made afresh at
+        # every grid point would go back to the system and fault in again
+        batch = min(2 ** (top - 1), per) * d2 * d2 * de * de
+        space = np.empty(3 * batch, dtype=complex)
+        work = np.empty((3, 2 * batch), dtype=complex)
+        nxts = [None] + [np.empty((2, 2 ** lv, 2) + shape, dtype=complex)
+                         for lv in range(1, top - 1)]
 
         def traced_top(j, phi_t, y):
             # Tr_E Op_0(j)[y] for a stack of states; the outer bath sign is
@@ -414,21 +434,16 @@ class GeneratorEngine:
             return np.matmul(lead[j], tr.reshape(y.shape[:-4] + (d2, d2)))
 
         for j in range(m1):
-            wbar = 0.5 * h if j == 0 else h
-            corner = 0.0 if j == 0 else 0.5 * h
+            wbar, corner = self.wb[j], self.c[j]
             phi_t = phi[j].T.reshape(-1)
-            tt = traced_top(j, phi_t, base)[0]
-            free[0][j] = top_run[0] + corner * tt
-            pinned[0][j] = tt
-            top_run[0] += wbar * tt
+            outer[0][:, j] = traced_top(j, phi_t, base)
             if top > 1:
                 inner = 0.5 * (phi[j] @ rho + bsign * (rho @ phi[j]))
             states = None
             for lv in range(1, top):
                 n = 2 ** lv
                 # next level's X and D; its new leading sign is bit 0
-                nxt = (np.empty((2, n, 2) + shape, dtype=complex)
-                       if lv + 1 < top else None)
+                nxt = nxts[lv] if lv + 1 < top else None
                 for lo in range(0, n, per):
                     part = slice(lo, min(n, lo + per))
                     if lv == 1:
@@ -439,116 +454,94 @@ class GeneratorEngine:
                     e = run[lv][part]
                     # [E + wb/2 X, E + c/2 D, E + c D], each summed in
                     # place: the bits of E + w Y without a temporary
-                    buf = np.empty((3,) + e.shape, dtype=complex)
+                    buf = space[:3 * e.size].reshape((3,) + e.shape)
                     for b, (w, y) in enumerate(((0.5 * wbar, x),
                                                 (0.5 * corner, d),
                                                 (corner, d))):
                         np.multiply(w, y, out=buf[b])
                         buf[b] += e
-                    tt = traced_top(j, phi_t, buf)
-                    free[lv][j, part] = top_run[lv][part] + corner * tt[1]
-                    pinned[lv][j, part] = tt[2]
-                    top_run[lv][part] += wbar * tt[0]
+                    outer[lv][:, j, part] = traced_top(j, phi_t, buf)
                     if nxt is not None:
                         for s in range(2):
                             _slot_op(fac[s][j], 0.5 * phi[j], _BATH_SIGN[s],
-                                     buf[:2], nxt[:, part, s])
+                                     buf[:2], nxt[:, part, s], work)
                     e += wbar * x
                 if nxt is not None:
                     states = nxt.reshape((2, 2 * n) + shape)
         out = {}
         for lv in range(top):
             for idx in range(2 ** lv):
-                asigns = MINUS + "".join(_TRIE_SIGNS[(idx >> b) & 1]
-                                         for b in range(lv))
-                vals = free[lv][:, idx], pinned[lv][:, idx]
-                if rev:
-                    eta = (-1) ** asigns.count(PLUS)
-                    vals = tuple(eta * v.transpose(0, 2, 1) for v in vals)
-                    asigns = asigns[::-1]
-                out[asigns] = vals
+                signs = MINUS + "".join(_TRIE_SIGNS[(idx >> b) & 1]
+                                        for b in range(lv))
+                x, d, p = outer[lv][:, :, idx]
+                # a copy, so that the cached pinned stack keeps no level alive
+                out[signs] = x, d, p.copy()
         return out
 
     def _gaussian_cluster(self, signs, kind):
-        """One Gaussian-bath cluster at every endpoint: (free, pinned) stacks.
+        """Outer-slot terms (X, D, P) of one forward Gaussian-bath chain.
 
-        The outer slot is a running sum over its grid index j0 with the
-        sweep's weights (see the module docstring).  For each j0 the strict
-        core sums slot 1 over j1 < j0, and the tie term puts slot 1 at j0;
-        the interior state X, the endpoint state D and the pinned state P
-        are the core plus the tie with weight wb/2, c/2 and c.  Below a tie
-        at j0 the deeper slots can tie at j0 again, with the interior or the
-        endpoint weight of j0, so a cluster of three or more slots has two
-        tie terms.
+        ``signs`` is a forward sign string and the system factors are
+        ``self.factors[kind]``.  For each outer index j0 the strict core
+        sums slot 1 over j1 < j0, and the tie term puts slot 1 at j0; X, D
+        and P are the core plus the tie with weight wb/2, c/2 and c.  Below
+        a tie at j0 the deeper slots can tie at j0 again, with the interior
+        or the endpoint weight of j0, so a cluster of three or more slots
+        has two tie terms.
         """
-        asigns, dsig, eta, rev = _remap(signs, kind)
-        m1, h, a = self.grid.M + 1, self.grid.h, self.a_tab
-        wb = np.full(m1, h)
-        wb[0] = 0.5 * h
-        c = np.full(m1, 0.5 * h)
-        c[0] = 0.0
-        lead = a[asigns[0]]
+        tab, wb, c = self.factors[kind], self.wb, self.c
+        dsig = flip_signs(signs)
+        m1 = self.grid.M + 1
+        lead = tab[signs[0]]
         if len(signs) == 1:
-            lx = ld = lp = self.ctab.pair_free(dsig)[:, None, None] * lead
+            x = self.ctab.pair_free(dsig)[:, None, None] * lead
+            return x, x, x
+        a1 = tab[signs[1]]
+        if len(signs) == 2:
+            pair = self.ctab.pair_free(dsig)
+            strict = np.tril(pair, -1) * wb
+            core = (strict @ a1.reshape(m1, -1)).reshape(a1.shape)
+            tie_x = tie_d = np.diagonal(pair)[:, None, None] * a1
         else:
-            a1 = a[asigns[1]]
-            if len(signs) == 2:
-                tab = self.ctab.pair_free(dsig)
-                strict = np.tril(tab, -1) * wb
-                core = (strict @ a1.reshape(m1, -1)).reshape(a1.shape)
-                tie_x = tie_d = np.diagonal(tab)[:, None, None] * a1
-            else:
-                core, tie_x, tie_d = np.zeros((3,) + a1.shape, dtype=complex)
-                for j in range(m1):
-                    if j:
-                        core[j] = self._slots(asigns, dsig, rev, wb, (j,),
-                                              wb[:j])
-                    wd = wb[:j + 1].copy()
-                    wd[j] = c[j]
-                    for tie, w in ((tie_x, wb[:j + 1]), (tie_d, wd)):
-                        sub = self._slots(asigns, dsig, rev, w, (j, j),
-                                          w * self.theta[j, :j + 1])
-                        tie[j] = a1[j] @ sub if not rev else sub @ a1[j]
-            lx, ld, lp = (
-                lead @ v if not rev else v @ lead
-                for v in (core + (0.5 * wb)[:, None, None] * tie_x,
-                          core + (0.5 * c)[:, None, None] * tie_d,
-                          core + c[:, None, None] * tie_d))
-        run = np.cumsum(wb[:, None, None] * lx, axis=0)
-        free = c[:, None, None] * ld
-        free[1:] += run[:-1]
-        return eta * free, eta * lp
+            core, tie_x, tie_d = np.zeros((3,) + a1.shape, dtype=complex)
+            for j in range(m1):
+                if j:
+                    core[j] = self._slots(tab, signs, dsig, wb, (j,), wb[:j])
+                for tie, w in ((tie_x, wb[:j + 1]), (tie_d, self.weights(j))):
+                    sub = self._slots(tab, signs, dsig, w, (j, j),
+                                      w * self.theta[j, :j + 1])
+                    tie[j] = a1[j] @ sub
+        return tuple(lead @ v for v in (
+            core + (0.5 * wb)[:, None, None] * tie_x,
+            core + (0.5 * c)[:, None, None] * tie_d,
+            core + c[:, None, None] * tie_d))
 
-    def _slots(self, asigns, dsig, rev, w, prefix, wk):
-        """Weighted sum over the slots after ``prefix`` of one cluster.
+    def _slots(self, tab, signs, dsig, w, prefix, wk):
+        """Weighted sum over the slots after ``prefix`` of one chain.
 
-        ``w`` holds the trapezoid weights of the later slots, ``prefix`` the
-        grid indices of the earlier slots and ``wk`` the weights of the next
-        slot on grid points 0..len(wk)-1, its ordering factor included.
-        Slots are summed one grid point at a time until one or two remain;
-        those are one weighted sum over the correlator table of the prefix,
-        built on grid points 0..len(wk)-1 alone for this one use.
+        ``tab`` holds the system factors, ``w`` the trapezoid weights of the
+        later slots, ``prefix`` the grid indices of the earlier slots and
+        ``wk`` the weights of the next slot on grid points 0..len(wk)-1,
+        its ordering factor included.  Slots are summed one grid point at a
+        time until one or two remain; those are one weighted sum over the
+        correlator table of the prefix, built on grid points
+        0..len(wk)-1 alone for this one use.
         """
-        k, a, n = len(prefix), self.a_tab, len(wk)
-        left = len(asigns) - k
+        k, n = len(prefix), len(wk)
+        left = len(signs) - k
         if left == 1:
             row = self.ctab.chain_rows(dsig, prefix, n)
-            return np.einsum("j,jab->ab", wk * row, a[asigns[k]][:n])
+            return np.einsum("j,jab->ab", wk * row, tab[signs[k]][:n])
         if left == 2:
-            tab = self.ctab.chain_rows(dsig, prefix, n)
-            wd = wk[:, None] * w[None, :n] * self.theta[:n, :n] * tab
-            first, second = a[asigns[k]][:n], a[asigns[k + 1]][:n]
-            if not rev:
-                inner = np.einsum("ab,bjk->ajk", wd, second)
-                return np.einsum("aij,ajk->ik", first, inner)
-            inner = np.einsum("ab,ajk->bjk", wd, first)
-            return np.einsum("bij,bjk->ik", second, inner)
+            pair = self.ctab.chain_rows(dsig, prefix, n)
+            wd = wk[:, None] * w[None, :n] * self.theta[:n, :n] * pair
+            inner = np.einsum("ab,bjk->ajk", wd, tab[signs[k + 1]][:n])
+            return np.einsum("aij,ajk->ik", tab[signs[k]][:n], inner)
         out = np.zeros((self.d2, self.d2), dtype=complex)
         for j in np.flatnonzero(wk):
-            core = self._slots(asigns, dsig, rev, w, prefix + (j,),
+            core = self._slots(tab, signs, dsig, w, prefix + (j,),
                                w[:j + 1] * self.theta[j, :j + 1])
-            lead = a[asigns[k]][j]
-            out += wk[j] * (lead @ core if not rev else core @ lead)
+            out += wk[j] * (tab[signs[k]][j] @ core)
         return out
 
     # -- expansion objects on the whole grid ----------------------------
@@ -573,18 +566,6 @@ class GeneratorEngine:
                 out = stack if out is None else out @ stack
         return self._at(term.coeff * out, i)
 
-    def _terms(self, make, n, kind):
-        """Sorted terms of ``make(n, kind)``, built once per engine.
-
-        Iterating a ``TermPolynomial`` rebuilds and sorts its terms, so the
-        sums below read this tuple instead.
-        """
-        key = (make, n, kind)
-        val = self._term_lists.get(key)
-        if val is None:
-            val = self._term_lists[key] = tuple(make(n, kind))
-        return val
-
     def mu(self, n, i=None, kind=SCHRODINGER, dotted=False):
         self._check_index(i)
         key = (n, kind, dotted)
@@ -592,7 +573,7 @@ class GeneratorEngine:
         if val is None:
             make = momentum_derivative_terms if dotted else momentum_terms
             val = self._mu[key] = _frozen(sum(
-                self.term_value(t) for t in self._terms(make, n, kind)))
+                self.term_value(t) for t in make(n, kind)))
         return self._at(val, i)
 
     def generator_order(self, n, i=None, kind=SCHRODINGER,
@@ -606,7 +587,7 @@ class GeneratorEngine:
         if val is None:
             if path == TERM_EXPANSION:
                 val = sum(self.term_value(t)
-                          for t in self._terms(generator_terms, n, kind))
+                          for t in generator_terms(n, kind))
             else:
                 val = self.mu(n, None, kind, dotted=True).copy()
                 for k in range(1, n):
@@ -688,14 +669,6 @@ def _kind_of(model):
     return ADJOINT if model.adjoint else SCHRODINGER
 
 
-def _require_stationary_for_adjoint(model, kind):
-    if kind != ADJOINT:
-        return
-    bath = model.bath
-    if isinstance(bath, ExactBath) and not bath.is_stationary():
-        raise ValueError("adjoint evaluation requires a stationary bath")
-
-
 def evaluate_term(term, t_index, model, quad):
     """Numeric value of one symbolic term at grid time t_index."""
     return engine_for(model, quad).term_value(term, t_index)
@@ -713,18 +686,15 @@ def assemble_generator(N, t_index, model, quad, path=MATRIX_RECURSION):
     """Truncated generator at one grid time, by either assembly path."""
     if not 1 <= N <= quad.max_order:
         raise ValueError(f"N must be in 1..{quad.max_order}")
-    kind = _kind_of(model)
-    _require_stationary_for_adjoint(model, kind)
-    return engine_for(model, quad).generator(N, t_index, kind, path)
+    return engine_for(model, quad).generator(N, t_index, _kind_of(model),
+                                             path)
 
 
 def generator_table(model, quad, N, path=MATRIX_RECURSION):
     """Truncated generator on the whole grid, shape (M+1, d^2, d^2)."""
     if not 1 <= N <= quad.max_order:
         raise ValueError(f"N must be in 1..{quad.max_order}")
-    kind = _kind_of(model)
-    _require_stationary_for_adjoint(model, kind)
-    return engine_for(model, quad).generator(N, None, kind, path)
+    return engine_for(model, quad).generator(N, None, _kind_of(model), path)
 
 
 def evaluate_vk_generator(n, t_index, model, quad):

@@ -125,15 +125,25 @@ class TermPolynomial:
 
     All stored terms share one order and kind; terms violating the kind's
     null rule are dropped on insertion (they denote the zero superoperator),
-    and zero coefficients are purged.
+    and zero coefficients are purged.  A frozen polynomial refuses ``add``
+    and keeps its sorted terms, so a cached one cannot be altered.
     """
 
     def __init__(self, order, kind=SCHRODINGER):
         self.order = order
         self.kind = kind
         self._coeffs = {}
+        self._sorted = None    # the sorted term tuple, once frozen
+
+    def freeze(self):
+        """Refuse further changes and keep the sorted terms; returns self."""
+        if self._sorted is None:
+            self._sorted = tuple(self.terms())
+        return self
 
     def add(self, term, coeff=None, strict=False):
+        if self._sorted is not None:
+            raise ValueError("a frozen term polynomial cannot be changed")
         if term.order != self.order or term.kind != self.kind:
             raise ValueError("term does not match polynomial order/kind")
         if coeff is None:
@@ -155,6 +165,8 @@ class TermPolynomial:
 
     def terms(self):
         """Terms with accumulated coefficients, in canonical order."""
+        if self._sorted is not None:
+            return list(self._sorted)
         out = [ClusteredTerm(k[0], k[1], k[2], k[3], coeff=c)
                for k, c in self._coeffs.items()]
         out.sort(key=term_sort_key)
@@ -164,7 +176,8 @@ class TermPolynomial:
         return self._coeffs.get(term.key(), 0)
 
     def __iter__(self):
-        return iter(self.terms())
+        return iter(self._sorted if self._sorted is not None
+                    else self.terms())
 
     def __len__(self):
         return len(self._coeffs)
@@ -217,7 +230,7 @@ def momentum_terms(n, kind=SCHRODINGER):
         free = "".join(tail)
         signs = MINUS + free if kind == SCHRODINGER else free + MINUS
         poly.add(ClusteredTerm(signs, (n,), False, kind), 1, strict=True)
-    return poly
+    return poly.freeze()
 
 
 @lru_cache(maxsize=None)
@@ -226,7 +239,7 @@ def momentum_derivative_terms(n, kind=SCHRODINGER):
     poly = TermPolynomial(n, kind)
     for term in momentum_terms(n, kind):
         poly.add(replace(term, pinned=True), 1, strict=True)
-    return poly
+    return poly.freeze()
 
 
 @lru_cache(maxsize=None)
@@ -241,12 +254,12 @@ def inverse_map_terms(n):
     if n == 0:
         poly = TermPolynomial(0, SCHRODINGER)
         poly.add(ClusteredTerm("", (), False, SCHRODINGER), 1, strict=True)
-        return poly
+        return poly.freeze()
     poly = TermPolynomial(n, SCHRODINGER)
     for k in range(1, n + 1):
         prod = poly_product(momentum_terms(k), inverse_map_terms(n - k))
         poly.update(prod, scale=-1)
-    return poly
+    return poly.freeze()
 
 
 @lru_cache(maxsize=None)
@@ -265,7 +278,7 @@ def generator_terms(n, kind=SCHRODINGER):
         prod = poly_product(generator_terms(n - k, kind),
                             momentum_terms(k, kind))
         poly.update(prod, scale=-1)
-    return poly
+    return poly.freeze()
 
 
 def _composition_from_removed(n, removed):

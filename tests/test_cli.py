@@ -198,6 +198,43 @@ class TestNumericCommands:
         assert lines[0] == "t,row,col,re,im"
         assert len(lines) == 1 + 21 * 16
 
+    def test_evaluate_and_compare_rows_match_cell_by_cell_formatting(
+            self, config_path, tmp_path, monkeypatch):
+        # signed zeros, tiny and huge values keep their bytes in both files
+        from tclgen import oracle, superops
+        m1 = 9
+        rng = np.random.default_rng(8)
+        table = rng.normal(size=(m1, 4, 4)) + 1j * rng.normal(size=(m1, 4, 4))
+        table[1, 0, 0] = complex(-0.0, 1e-300)
+        table[2, 3, 1] = complex(1e300, -0.0)
+        table[3, 2, 2] = complex(-1e300, -1e-300)
+        series = rng.normal(size=m1)
+        series[[1, 2, 3, 4]] = -0.0, 1e-300, 1e300, -1e300
+        monkeypatch.setattr(superops, "generator_table",
+                            lambda *args, **kwargs: table)
+        monkeypatch.setattr(oracle, "tcl_vs_exact_error",
+                            lambda *args, **kwargs: (1.0, series))
+        path = config_path(dephasing_config(grid={"T": 2.0, "M": m1 - 1}))
+        out = tmp_path / "x"
+        for task in ("evaluate", "compare"):
+            assert main([task, "--config", path, "--out", str(out)]) == 0
+        times = np.linspace(0.0, 2.0, m1)
+        want = ["t,row,col,re,im"]
+        for i, t in enumerate(times):
+            for r in range(4):
+                for c in range(4):
+                    z = table[i, r, c]
+                    want.append(f"{t:.12e},{r},{c},{z.real:.12e},"
+                                f"{z.imag:.12e}")
+        assert (out / "generator.csv").read_text() == "\n".join(want) + "\n"
+        want = ["t,trace_distance"] + [f"{t:.12e},{v:.12e}"
+                                       for t, v in zip(times, series)]
+        assert (out / "distance.csv").read_text() == "\n".join(want) + "\n"
+        for name in ("generator.csv", "distance.csv"):
+            text = (out / name).read_text()
+            assert "-0.000000000000e+00" in text
+            assert "1.000000000000e+300" in text
+
     def test_gaussian_bath_config(self, config_path, tmp_path):
         cfg = dephasing_config()
         cfg["bath"] = {"type": "gaussian", "two_point": "single-mode-thermal",

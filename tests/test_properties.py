@@ -1,0 +1,119 @@
+"""Structural properties of the generator expansion on random models.
+
+Hypothesis draws Hermitian H_S and A (d_S = 2-3) and a bath: a random
+exact bath (d_E = 2-4) or the thermal single-mode Gaussian kernel.  The
+exact bath state is a thermal state of H_E, so stationary, wherever the
+adjoint kind is evaluated, and may be any density matrix otherwise.  Grids
+have M <= 12 points past t = 0 and orders N <= 4.  Residuals are measured
+against the size of the objects they come from.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tclgen.baths import ExactBath, GaussianBath, thermal_mode_two_point
+from tclgen.superops import (
+    MATRIX_RECURSION,
+    TERM_EXPANSION,
+    Grid,
+    ModelSpec,
+    QuadratureConfig,
+    engine_for,
+    vec,
+)
+from tclgen.terms import ADJOINT, SCHRODINGER
+
+RTOL = 1e-12
+EXAMPLES = settings(max_examples=12, deadline=None)
+
+
+@dataclass
+class Case:
+    engine: object
+    order: int
+    d_s: int
+    gen: np.random.Generator
+
+    def orders(self, kind, path=MATRIX_RECURSION):
+        return [self.engine.generator_order(n, None, kind, path)
+                for n in range(1, self.order + 1)]
+
+
+def _herm(gen, d):
+    x = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
+    return 0.5 * (x + x.conj().T)
+
+
+@st.composite
+def cases(draw, stationary=True):
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d_s = draw(st.integers(2, 3))
+    order = draw(st.integers(1, 4))
+    m = draw(st.integers(2 * order, 12))
+    if draw(st.sampled_from(["exact", "gaussian"])) == "exact":
+        d_e = draw(st.integers(2, 4))
+        h_e = _herm(gen, d_e)
+        if stationary or draw(st.booleans()):
+            e, v = np.linalg.eigh(h_e)
+            p = np.exp(-gen.uniform(0.2, 2.0) * (e - e.min()))
+            rho = (v * (p / p.sum())) @ v.conj().T
+        else:
+            x = gen.normal(size=(d_e, d_e)) + 1j * gen.normal(size=(d_e, d_e))
+            rho = x @ x.conj().T / np.trace(x @ x.conj().T)
+        bath = ExactBath(h_e, _herm(gen, d_e), rho)
+    else:
+        bath = GaussianBath(thermal_mode_two_point(
+            gen.uniform(0.5, 2.0), beta=gen.uniform(0.5, 2.0)))
+    model = ModelSpec(_herm(gen, d_s), _herm(gen, d_s),
+                      gen.uniform(0.2, 0.8), bath)
+    quad = QuadratureConfig(Grid(gen.uniform(0.5, 2.0), m), max_order=order)
+    return Case(engine_for(model, quad), order, d_s, gen)
+
+
+def _scale(*arrays):
+    return max(1.0, *(float(np.abs(a).max()) for a in arrays))
+
+
+@EXAMPLES
+@given(cases(stationary=False))
+def test_every_order_preserves_trace(case):
+    ident = vec(np.eye(case.d_s))
+    for ln in case.orders(SCHRODINGER):
+        assert np.abs(ident @ ln).max() <= RTOL * _scale(ln)
+
+
+@EXAMPLES
+@given(cases())
+def test_every_adjoint_order_is_unital(case):
+    ident = vec(np.eye(case.d_s))
+    for ln in case.orders(ADJOINT):
+        assert np.abs(ln @ ident).max() <= RTOL * _scale(ln)
+
+
+@EXAMPLES
+@given(cases())
+def test_term_and_matrix_paths_agree(case):
+    for kind in (SCHRODINGER, ADJOINT):
+        for terms, matrix in zip(case.orders(kind, TERM_EXPANSION),
+                                 case.orders(kind)):
+            np.testing.assert_allclose(terms, matrix, rtol=0,
+                                       atol=RTOL * _scale(terms, matrix))
+
+
+@EXAMPLES
+@given(cases())
+def test_momentum_duality_at_every_order(case):
+    # Tr[O (-i)^n mu_n(rho)] = Tr[(i^n mu~_n(O)) rho] at every grid time
+    obs = _herm(case.gen, case.d_s)
+    x = _herm(case.gen, case.d_s) + 2 * case.d_s * np.eye(case.d_s)
+    rho = x / np.trace(x)
+    for n in range(1, case.order + 1):
+        mu = case.engine.mu(n, None, SCHRODINGER)
+        mu_adj = case.engine.mu(n, None, ADJOINT)
+        lhs = (-1j) ** n * (mu @ vec(rho)) @ vec(obs.T)
+        rhs = 1j ** n * (mu_adj @ vec(obs)) @ vec(rho.T)
+        assert np.abs(lhs - rhs).max() <= RTOL * _scale(mu, mu_adj) * _scale(
+            obs)

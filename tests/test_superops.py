@@ -276,6 +276,41 @@ class TestGeneratorAssembly:
         with pytest.raises(ValueError, match="stationary"):
             assemble_generator(2, 5, model, quad)
 
+    @staticmethod
+    def coherent_mode_model():
+        """A boson mode in a coherent superposition: not stationary."""
+        mode = boson_mode_bath(1.0, 3)
+        psi = np.zeros(4)
+        psi[:2] = np.sqrt(0.5)
+        bath = ExactBath(mode.H_E, mode.phi, np.outer(psi, psi))
+        assert not bath.is_stationary()
+        return ModelSpec(0.5 * SZ + 0.2 * SX, SX, 0.3, bath)
+
+    @pytest.mark.parametrize("entry", [
+        "evaluate_mu", "evaluate_mu_dot", "evaluate_term", "cluster_value",
+        "cluster_value_stack", "mu", "generator_order"])
+    def test_adjoint_entry_points_refuse_a_drifting_bath(self, entry):
+        model = self.coherent_mode_model()
+        quad = QuadratureConfig(Grid(1.0, 12), max_order=3)
+        eng = engine_for(model, quad)
+        term = ClusteredTerm("+-", (2,), False, ADJOINT)
+        call = {
+            "evaluate_mu": lambda: evaluate_mu(3, 12, model, quad, ADJOINT),
+            "evaluate_mu_dot":
+                lambda: evaluate_mu_dot(3, 12, model, quad, ADJOINT),
+            "evaluate_term": lambda: evaluate_term(term, 12, model, quad),
+            "cluster_value":
+                lambda: eng.cluster_value("+-", False, 12, ADJOINT),
+            "cluster_value_stack":
+                lambda: eng.cluster_value("-", True, None, ADJOINT),
+            "mu": lambda: eng.mu(2, 12, ADJOINT),
+            "generator_order": lambda: eng.generator_order(3, None, ADJOINT),
+        }[entry]
+        with pytest.raises(ValueError, match="stationary"):
+            call()
+        # the forward kind is well defined on the same bath
+        assert np.isfinite(eng.generator_order(3, None, SCHRODINGER)).all()
+
     def test_adjoint_unitality_and_hermiticity(self, setup):
         model, grid, quad = setup
         eng = engine_for(model, quad)
@@ -485,6 +520,23 @@ class TestSuffixTrieSweep:
             for a, b in zip(pair, got[signs]):
                 assert a.tobytes() == b.tobytes(), signs
 
+    @pytest.mark.parametrize("kind", [SCHRODINGER, ADJOINT])
+    def test_uneven_batches_are_bit_identical(self, monkeypatch, kind):
+        # three states per call: the deeper levels end on a shorter batch,
+        # which reuses the front of the sweep's work space
+        from tclgen.superops import GeneratorEngine
+        model = ModelSpec(rand_herm(2), rand_herm(2), 0.3,
+                          boson_mode_bath(1.0, 4, shift=0.5))
+        grid = Grid(1.0, 10)
+        want = engine_for(model, QuadratureConfig(grid, max_order=4)
+                          )._kind_sweep(kind)
+        monkeypatch.setattr(GeneratorEngine, "CHUNK", 3 * 2 * 4 * 4 * 5 * 5)
+        got = engine_for(model, QuadratureConfig(grid, max_order=4)
+                         )._kind_sweep(kind)
+        for signs, terms in want.items():
+            for a, b in zip(terms, got[signs]):
+                assert a.tobytes() == b.tobytes(), signs
+
     def test_cluster_above_max_order_is_refused(self):
         eng = engine_for(rand_model(),
                          QuadratureConfig(Grid(0.6, 8), max_order=2))
@@ -529,7 +581,10 @@ class TestWholeGridStacks:
         for kind_model in (model, replace(model, adjoint=True)):
             for path in (MATRIX_RECURSION, TERM_EXPANSION):
                 generator_table(kind_model, quad, 3, path)
-        wanted = {(block, kind) for kind in (SCHRODINGER, ADJOINT)
+        # the backend sees each cluster as its forward chain: an adjoint
+        # cluster's sign string reversed
+        wanted = {(block[::-1] if kind == ADJOINT else block, kind)
+                  for kind in (SCHRODINGER, ADJOINT)
                   for n in (1, 2, 3) for term in generator_terms(n, kind)
                   for block in term.cluster_signs()}
         assert wanted <= set(calls)

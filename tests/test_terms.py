@@ -91,6 +91,37 @@ class TestClusteredTerm:
         assert len(poly) == 0
 
 
+    @pytest.mark.parametrize("build", [
+        lambda: momentum_terms(2), lambda: momentum_terms(2, ADJOINT),
+        lambda: momentum_derivative_terms(2), lambda: generator_terms(2),
+        lambda: generator_terms(2, ADJOINT), lambda: inverse_map_terms(2),
+        lambda: inverse_map_terms(0)])
+    def test_cached_polynomials_cannot_be_corrupted(self, build):
+        poly = build()
+        term = poly.terms()[0]
+        before = poly.coefficient(term)
+        for scale in (5, -before):
+            with pytest.raises(ValueError, match="frozen"):
+                poly.add(term, scale)
+        with pytest.raises(ValueError, match="frozen"):
+            poly.update(poly)
+        again = build()
+        assert again is poly and again.coefficient(term) == before
+        # the sorted term tuple is kept and handed out as a fresh list
+        listed = again.terms()
+        listed.clear()
+        assert list(again) == again.terms() and len(again.terms()) == len(poly)
+        assert again.terms() == sorted(again.terms(), key=tt.term_sort_key)
+
+    def test_built_polynomials_stay_open_until_frozen(self):
+        poly = TermPolynomial(2)
+        poly.add(ClusteredTerm("--", (2,)), 1)
+        assert poly.freeze() is poly
+        assert list(poly) == [ClusteredTerm("--", (2,))]
+        with pytest.raises(ValueError, match="frozen"):
+            poly.add(ClusteredTerm("-+", (2,)), 1)
+
+
 class TestMomenta:
     def test_first_order(self):
         terms = list(momentum_terms(1))
