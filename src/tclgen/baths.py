@@ -399,7 +399,9 @@ class GaussianCorrelatorTable(_GridTable):
                                      cc[idx[b], idx[a]], STANDARD),
             None if self.bath.mean is None else (lambda i: mvec[idx[i]]),
             plus_slots)
-        return np.zeros(np.broadcast(*idx).shape, dtype=complex) + val
+        # one result array; adding +0.0 turns a -0.0 part into +0.0
+        return np.add(val, 0.0, out=np.empty(np.broadcast(*idx).shape,
+                                             dtype=complex))
 
     pair_free = _GridTable.pair_free
     triple_slice = _GridTable.triple_slice

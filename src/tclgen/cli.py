@@ -174,8 +174,8 @@ def load_config(path):
     gcfg = cfg["grid"]
     _require_keys("grid", gcfg, ("T", "M"))
     order = _integer("order", cfg["order"])
-    if not 1 <= order <= 4:
-        raise ConfigError("order must be in 1..4")
+    if order < 1:
+        raise ConfigError("order must be >= 1")
     parsed = {
         "H_S": _parse_matrix("model.H_S", mcfg["H_S"], d_s),
         "A": _parse_matrix("model.A", mcfg["A"], d_s),
@@ -209,7 +209,7 @@ def _build_problem(parsed):
     model = superops.ModelSpec(parsed["H_S"], parsed["A"], parsed["g"], bath,
                                adjoint=parsed["adjoint"])
     grid = superops.Grid(parsed["T"], parsed["M"])
-    quad = superops.QuadratureConfig(grid, max_order=max(parsed["order"], 1))
+    quad = superops.QuadratureConfig(grid, max_order=parsed["order"])
     return model, grid, quad
 
 

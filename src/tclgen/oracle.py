@@ -87,7 +87,7 @@ def tcl_vs_exact_error(model, rho0, grid, N, quad=None, return_series=False):
     return float(series.max())
 
 
-def scaling_probe(model, rho0, grid, N, couplings, quad_factory=None):
+def scaling_probe(model, rho0, grid, N, couplings):
     """Truncation-order check: err(g) and log2(err(g)/err(g/2)) ratios.
 
     The expected ratio is N+1 when the first neglected expansion order is
@@ -97,12 +97,10 @@ def scaling_probe(model, rho0, grid, N, couplings, quad_factory=None):
     if len(couplings) < 2:
         raise ValueError("need at least two couplings")
 
-    def one(g):
-        m = replace(model, g=float(g))
-        quad = quad_factory(m) if quad_factory else None
-        return tcl_vs_exact_error(m, rho0, grid, N, quad=quad)
-
-    rows = [{"g": float(g), "err": float(one(g))} for g in couplings]
+    rows = [{"g": float(g),
+             "err": float(tcl_vs_exact_error(replace(model, g=float(g)),
+                                             rho0, grid, N))}
+            for g in couplings]
     for k, row in enumerate(rows):
         row["ratio"] = None
         for other in rows[k + 1:]:

@@ -15,20 +15,21 @@ and the Van Kampen evaluation agree to round-off, not merely to quadrature
 accuracy.
 
 One cluster contract for both bath backends.  For each forward sign string
-(first slot MINUS) a backend returns the outer-slot terms X(j0), D(j0) and
+(first slot MINUS) a backend forms the outer-slot terms X(j0), D(j0) and
 P(j0) as (M+1, d^2, d^2) stacks, already multiplied by the system factor
 of slot 0 at t_j0: X sums the later slots with the interior weight of j0,
 D with its endpoint weight, and P is the pinned variant.  With
-``wb(0) = h/2, wb(j>0) = h`` and ``c(0) = 0, c(j>0) = h/2``, one sum gives
-the free cluster at t_i, ``sum_{j0 < i} wb(j0) X(j0) + c(i) D(i)``, and the
-pinned one is P(i).  An adjoint-kind cluster (last slot of every cluster
-MINUS) is the transpose dual of the forward chain of its reversed sign
-string, run in the transposed system factors: transposed back and times
-(-1)^(number of PLUS slots), its pinned, latest time acts first on the
-observable and its bath factor is a standard correlator, which makes
-state/observable duality hold numerically order by order.  The dual needs
-a stationary bath state, so an adjoint cluster on a non-stationary exact
-bath is refused.
+``wb(0) = h/2, wb(j>0) = h`` and ``c(0) = 0, c(j>0) = h/2``, one sum shared
+by both backends gives the free cluster at t_i,
+``sum_{j0 < i} wb(j0) X(j0) + c(i) D(i)``, and the pinned one is P(i); a
+backend returns these (free, pinned) stacks.  An adjoint-kind cluster (last
+slot of every cluster MINUS) is the transpose dual of the forward chain of
+its reversed sign string, run in the transposed system factors: transposed
+back and times (-1)^(number of PLUS slots), its pinned, latest time acts
+first on the observable and its bath factor is a standard correlator, which
+makes state/observable duality hold numerically order by order.  The dual
+needs a stationary bath state, so an adjoint cluster on a non-stationary
+exact bath is refused.
 
 Exact-bath clusters (one sweep per kind): a chain of m slots is carried
 from the inside out as running joint system x bath states of shape
@@ -44,9 +45,10 @@ factor::
 X is the slot state for an interior point, D the one whose latest time is
 the endpoint itself, and E the strict running sum.  The outer-slot terms
 are ``Tr_E X_0``, ``Tr_E D_0`` and ``Tr_E Op_0(j)[E_1(j) + c(j) D_1(j)]``;
-the outer-slot sum then gives the same iterated trapezoid with tie and
-edge weights, to round-off.  A nonzero cluster has a PLUS outer bath sign,
-so slot 0 is only ever needed traced and costs no d_E^3 work.
+the outer-slot sum, run once per trie level (below), then gives the same
+iterated trapezoid with tie and edge weights, to round-off.  A nonzero
+cluster has a PLUS outer bath sign, so slot 0 is only ever needed traced
+and costs no d_E^3 work.
 
 The X, D and E states of slot k depend only on the suffix of the sign
 string from slot k on, so one sweep keeps them per suffix, as a trie:
@@ -77,7 +79,9 @@ deeper slots can meet j0 again, with its interior weight in X and its
 endpoint weight in D and P, so these clusters have two tie terms.  A free
 cluster of m >= 2 slots then costs O(M^m) table entries and weighted
 terms for all endpoints together, as much as one endpoint evaluated on its
-own.  Only the tables over the whole grid (prefix ``()``) are kept.
+own, so an engine on a Gaussian bath refuses a ``max_order`` above
+``GAUSSIAN_MAX_SLOTS``.  Only the tables over the whole grid (prefix
+``()``) are kept.
 
 Expansion objects on whole-grid stacks: a term is the product of its
 cluster stacks, one batched matmul per factor, and the momenta, their
@@ -169,13 +173,21 @@ class Grid:
 
 @dataclass
 class QuadratureConfig:
+    """Grid and largest expansion order, the largest cluster size.
+
+    Any ``max_order >= 1`` is accepted with ``M >= 2*max_order``.  An exact
+    bath serves every order; an engine on a Gaussian bath refuses a
+    ``max_order`` above ``GeneratorEngine.GAUSSIAN_MAX_SLOTS`` (4), since
+    its slot recursion costs O(M^m) for clusters of m slots.
+    """
+
     grid: Grid
     max_order: int = 3
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 1 <= self.max_order <= 4:
-            raise ValueError("max_order must be in 1..4")
+        if self.max_order < 1:
+            raise ValueError("max_order must be >= 1")
         if self.grid.M < 2 * self.max_order:
             raise ValueError("grid too coarse: require M >= 2*max_order")
 
@@ -297,6 +309,11 @@ class GeneratorEngine:
     """
 
     def __init__(self, model, quad):
+        self._exact = isinstance(model.bath, ExactBath)
+        if not self._exact and quad.max_order > self.GAUSSIAN_MAX_SLOTS:
+            raise ValueError(f"a Gaussian bath serves clusters of at most "
+                             f"{self.GAUSSIAN_MAX_SLOTS} slots, not "
+                             f"max_order {quad.max_order}")
         self.model = model
         self.quad = quad
         self.grid = quad.grid
@@ -315,7 +332,6 @@ class GeneratorEngine:
         self.wb[0] = 0.5 * h
         self.c = np.full(m1, 0.5 * h)
         self.c[0] = 0.0
-        self._exact = isinstance(model.bath, ExactBath)
         self._clusters = {}    # (signs, kind) -> (free, pinned) stacks
         self._mu = {}          # (n, kind, dotted) -> stack
         self._gen = {}         # (n, kind, path) -> stack
@@ -323,6 +339,8 @@ class GeneratorEngine:
 
     # the sweep applies Op to batches of at most this many matrix elements
     CHUNK = 1 << 14
+    # a Gaussian cluster of m slots costs O(M^m): larger ones are refused
+    GAUSSIAN_MAX_SLOTS = 4
 
     # -- quadrature primitives ------------------------------------------
 
@@ -348,8 +366,8 @@ class GeneratorEngine:
         first query evaluates the cluster at every endpoint at once: one
         sweep per kind serves every exact-bath cluster, and a Gaussian-bath
         cluster is one evaluation per sign string and kind.  Both backends
-        return forward outer-slot terms; the outer-slot sum and the adjoint
-        mapping are done here (see the module docstring).
+        return forward (free, pinned) stacks from the one outer-slot sum;
+        the adjoint mapping is done here (see the module docstring).
         """
         self._check_index(i)
         if not 1 <= len(signs) <= self.quad.max_order:
@@ -372,8 +390,7 @@ class GeneratorEngine:
                 found = self._kind_sweep(kind).items()
             else:
                 found = [(forward, self._gaussian_cluster(forward, kind))]
-            for chain, outer in found:
-                pair = self._outer_sum(*outer)
+            for chain, pair in found:
                 if adjoint:
                     eta = (-1) ** chain.count(PLUS)
                     pair = tuple(eta * v.transpose(0, 2, 1) for v in pair)
@@ -386,23 +403,27 @@ class GeneratorEngine:
         """``(free, pinned)`` stacks from the outer-slot terms X, D and P.
 
         ``free(i) = sum_{j0 < i} wb(j0) X(j0) + c(i) D(i)``, with the strict
-        sum accumulated in grid order, and ``pinned = P``.
+        sum accumulated in grid order, and ``pinned = P``.  The grid is the
+        third axis from the end, (..., M+1, d^2, d^2), so one call serves a
+        stack of sign strings; each string gets the bits of a call alone.
         """
         free = np.zeros_like(x)
-        np.cumsum(self.wb[:-1, None, None] * x[:-1], axis=0, out=free[1:])
+        np.cumsum(self.wb[:-1, None, None] * x[..., :-1, :, :], axis=-3,
+                  out=free[..., 1:, :, :])
         free += self.c[:, None, None] * d
         return free, p
 
     def _kind_sweep(self, kind):
-        """Outer-slot terms of every admissible exact-bath chain of one kind.
+        """Every admissible exact-bath chain of one kind.
 
-        Returns ``{signs: (X, D, P)}`` with (M+1, d^2, d^2) arrays for each
-        forward sign string of size 1..max_order, in the system factors
+        Returns ``{signs: (free, pinned)}`` with (M+1, d^2, d^2) stacks for
+        each forward sign string of size 1..max_order, in the system factors
         ``self.factors[kind]``.  The slot states are indexed by the suffix
         of the string they depend on: level L of the trie holds the X, D
         and running E states of all 2^L suffixes, and the leading sign of a
-        suffix is bit 0 of its index.  See the module docstring for the
-        recurrence.
+        suffix is bit 0 of its index.  The outer-slot terms of a level are
+        one (3, 2^L, M+1, d^2, d^2) array, summed by one ``_outer_sum``.
+        See the module docstring for the recurrence.
         """
         tab = self.factors[kind]
         m1, d2, top = self.grid.M + 1, self.d2, self.quad.max_order
@@ -414,7 +435,7 @@ class GeneratorEngine:
         bsign = np.array(_BATH_SIGN)[:, None, None]
         lead = fac[0]  # the outer slot of an admissible string is MINUS
         per = max(1, self.CHUNK // (2 * d2 * d2 * de * de))
-        outer = [np.zeros((3, m1, 2 ** lv, d2, d2), dtype=complex)
+        outer = [np.zeros((3, 2 ** lv, m1, d2, d2), dtype=complex)
                  for lv in range(top)]
         run = [None] + [np.zeros((2 ** lv,) + shape, dtype=complex)
                         for lv in range(1, top)]
@@ -436,7 +457,7 @@ class GeneratorEngine:
         for j in range(m1):
             wbar, corner = self.wb[j], self.c[j]
             phi_t = phi[j].T.reshape(-1)
-            outer[0][:, j] = traced_top(j, phi_t, base)
+            outer[0][:, :, j] = traced_top(j, phi_t, base)
             if top > 1:
                 inner = 0.5 * (phi[j] @ rho + bsign * (rho @ phi[j]))
             states = None
@@ -460,7 +481,7 @@ class GeneratorEngine:
                                                 (corner, d))):
                         np.multiply(w, y, out=buf[b])
                         buf[b] += e
-                    outer[lv][:, j, part] = traced_top(j, phi_t, buf)
+                    outer[lv][:, part, j] = traced_top(j, phi_t, buf)
                     if nxt is not None:
                         for s in range(2):
                             _slot_op(fac[s][j], 0.5 * phi[j], _BATH_SIGN[s],
@@ -470,16 +491,17 @@ class GeneratorEngine:
                     states = nxt.reshape((2, 2 * n) + shape)
         out = {}
         for lv in range(top):
+            free, pinned = self._outer_sum(*outer[lv])
+            # a copy, so that the cached pinned stacks keep no X or D alive
+            pinned = pinned.copy()
             for idx in range(2 ** lv):
                 signs = MINUS + "".join(_TRIE_SIGNS[(idx >> b) & 1]
                                         for b in range(lv))
-                x, d, p = outer[lv][:, :, idx]
-                # a copy, so that the cached pinned stack keeps no level alive
-                out[signs] = x, d, p.copy()
+                out[signs] = free[idx], pinned[idx]
         return out
 
     def _gaussian_cluster(self, signs, kind):
-        """Outer-slot terms (X, D, P) of one forward Gaussian-bath chain.
+        """(free, pinned) stacks of one forward Gaussian-bath chain.
 
         ``signs`` is a forward sign string and the system factors are
         ``self.factors[kind]``.  For each outer index j0 the strict core
@@ -495,7 +517,7 @@ class GeneratorEngine:
         lead = tab[signs[0]]
         if len(signs) == 1:
             x = self.ctab.pair_free(dsig)[:, None, None] * lead
-            return x, x, x
+            return self._outer_sum(x, x, x)
         a1 = tab[signs[1]]
         if len(signs) == 2:
             pair = self.ctab.pair_free(dsig)
@@ -511,10 +533,10 @@ class GeneratorEngine:
                     sub = self._slots(tab, signs, dsig, w, (j, j),
                                       w * self.theta[j, :j + 1])
                     tie[j] = a1[j] @ sub
-        return tuple(lead @ v for v in (
+        return self._outer_sum(*(lead @ v for v in (
             core + (0.5 * wb)[:, None, None] * tie_x,
             core + (0.5 * c)[:, None, None] * tie_d,
-            core + c[:, None, None] * tie_d))
+            core + c[:, None, None] * tie_d)))
 
     def _slots(self, tab, signs, dsig, w, prefix, wk):
         """Weighted sum over the slots after ``prefix`` of one chain.

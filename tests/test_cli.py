@@ -292,6 +292,26 @@ class TestNumericCommands:
                               capture_output=True, text=True, check=True)
         assert done.stdout.splitlines()[-1].split() == ["0", "False"]
 
+    @pytest.mark.parametrize("order", [5, 6])
+    @pytest.mark.parametrize("command", ["evaluate", "propagate", "compare"])
+    def test_orders_above_four_on_an_exact_bath(self, config_path, tmp_path,
+                                                command, order):
+        # a shifted mode and a coupling that does not commute with H_S
+        # populate every order
+        cfg = dephasing_config(grid={"T": 2.0, "M": 24}, order=order)
+        cfg["model"]["H_S"] = cplx([[0.5, 0.2], [0.2, -0.5]])
+        cfg["model"]["A"] = cplx([[0.0, 1.0], [1.0, 0.0]])
+        cfg["bath"] = {"type": "boson-mode", "omega": 1.0, "n_max": 4,
+                       "shift": 0.7}
+        path = config_path(cfg)
+        outs = []
+        for name in ("r1", "r2"):
+            assert main([command, "--config", path,
+                         "--out", str(tmp_path / name)]) == 0
+            outs.append(sorted((f.name, f.read_bytes())
+                               for f in (tmp_path / name).iterdir()))
+        assert len(outs[0]) == 2 and outs[0] == outs[1]
+
     def test_byte_determinism(self, config_path, tmp_path):
         cfg = dephasing_config()
         cfg["grid"] = {"T": 1.0, "M": 50}
@@ -345,7 +365,7 @@ class TestErrorPaths:
 
     def test_order_out_of_range_is_config_error(self, config_path, tmp_path):
         cfg = dephasing_config()
-        cfg["order"] = 7
+        cfg["order"] = 0
         assert main(["compare", "--config", config_path(cfg),
                      "--out", str(tmp_path / "x")]) == 2
 
@@ -397,6 +417,19 @@ class TestErrorPaths:
                      config_path(csv_bath_config(csv_path, 2.0, M=20)),
                      "--out", str(tmp_path / "x")]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "propagate", "compare"])
+    def test_gaussian_bath_above_order_four_is_refused(
+            self, config_path, tmp_path, capsys, command):
+        cfg = dephasing_config(grid={"T": 2.0, "M": 20}, order=5)
+        cfg["bath"] = {"type": "gaussian", "two_point": "single-mode-thermal",
+                       "omega": 1.0, "beta": 1.0}
+        assert main([command, "--config", config_path(cfg),
+                     "--out", str(tmp_path / "x")]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("validation error:")
+        assert "at most 4 slots" in lines[0]
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("command,g,couplings", [

@@ -127,6 +127,15 @@ class TestScalingProbe:
         rows = scaling_probe(model, rho0, Grid(6.0, 300), 2, [0.1, 0.05])
         assert rows[0]["ratio"] == pytest.approx(3.0, abs=0.6)
 
+    def test_fifth_order_ratio_with_odd_moments(self):
+        # halving g from 0.2 stays where the truncation error dominates the
+        # first-order O(g h^2) grid error
+        bath = boson_mode_bath(1.0, 6, shift=0.7)
+        model = ModelSpec(0.5 * SZ + 0.2 * SX, SX, 0.1, bath)
+        rho0 = np.array([[0.8, 0.3 - 0.1j], [0.3 + 0.1j, 0.2]])
+        rows = scaling_probe(model, rho0, Grid(5.0, 40), 5, [0.2, 0.1])
+        assert 5.5 <= rows[0]["ratio"] <= 7.0
+
     def test_error_vanishes_with_coupling(self):
         bath = boson_mode_bath(1.0, 6, shift=0.5)
         model = ModelSpec(0.5 * SZ + 0.2 * SX, SX, 0.1, bath)

@@ -4,11 +4,13 @@ Hypothesis draws Hermitian H_S and A (d_S = 2-3) and a bath: a random
 exact bath (d_E = 2-4) or the thermal single-mode Gaussian kernel.  The
 exact bath state is a thermal state of H_E, so stationary, wherever the
 adjoint kind is evaluated, and may be any density matrix otherwise.  Grids
-have M <= 12 points past t = 0 and orders N <= 4.  Residuals are measured
-against the size of the objects they come from.
+have M <= 12 points past t = 0, and orders N <= 5 on an exact bath and
+N <= 4 on the Gaussian kernel, whose engine serves clusters of at most four
+slots.  Residuals are measured against the size of the objects they come
+from.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -51,9 +53,10 @@ def _herm(gen, d):
 def cases(draw, stationary=True):
     gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     d_s = draw(st.integers(2, 3))
-    order = draw(st.integers(1, 4))
+    exact = draw(st.sampled_from(["exact", "gaussian"])) == "exact"
+    order = draw(st.integers(1, 5 if exact else 4))
     m = draw(st.integers(2 * order, 12))
-    if draw(st.sampled_from(["exact", "gaussian"])) == "exact":
+    if exact:
         d_e = draw(st.integers(2, 4))
         h_e = _herm(gen, d_e)
         if stationary or draw(st.booleans()):
@@ -91,6 +94,31 @@ def test_every_adjoint_order_is_unital(case):
     ident = vec(np.eye(case.d_s))
     for ln in case.orders(ADJOINT):
         assert np.abs(ln @ ident).max() <= RTOL * _scale(ln)
+
+
+@EXAMPLES
+@given(cases())
+def test_every_order_preserves_hermiticity(case):
+    # (-i)^n L_n maps Hermitian matrices to Hermitian ones, as i^n L~_n does
+    # for the adjoint kind
+    x = _herm(case.gen, case.d_s)
+    for kind, base in ((SCHRODINGER, -1j), (ADJOINT, 1j)):
+        for n, ln in enumerate(case.orders(kind), start=1):
+            y = (base ** n * ln @ vec(x)).reshape(-1, case.d_s, case.d_s)
+            assert (np.abs(y - y.conj().transpose(0, 2, 1)).max()
+                    <= RTOL * _scale(ln) * _scale(x))
+
+
+@EXAMPLES
+@given(cases(stationary=False), st.floats(0.3, 3.0))
+def test_every_order_scales_as_g_to_the_n(case, factor):
+    model = case.engine.model
+    other = engine_for(replace(model, g=factor * model.g),
+                       QuadratureConfig(case.engine.grid, case.order))
+    for n, ln in enumerate(case.orders(SCHRODINGER), start=1):
+        got, want = other.generator_order(n), factor ** n * ln
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=RTOL * _scale(got, want))
 
 
 @EXAMPLES

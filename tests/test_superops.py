@@ -41,20 +41,20 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def rand_herm(d, scale=1.0):
-    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+def rand_herm(d, scale=1.0, gen=rng):
+    x = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
     return scale * 0.5 * (x + x.conj().T)
 
 
-def rand_state(d):
-    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+def rand_state(d, gen=rng):
+    x = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
     rho = x @ x.conj().T
     return rho / np.trace(rho)
 
 
-def rand_model(g=0.4, shift=0.6, d=2):
+def rand_model(g=0.4, shift=0.6, d=2, gen=rng):
     bath = qubit_bath(1.3, beta=0.8, shift=shift)
-    return ModelSpec(rand_herm(d), rand_herm(d), g, bath)
+    return ModelSpec(rand_herm(d, gen=gen), rand_herm(d, gen=gen), g, bath)
 
 
 @pytest.fixture(scope="module")
@@ -123,9 +123,14 @@ class TestSpecGuards:
         with pytest.raises(ValueError):
             QuadratureConfig(grid, max_order=3)  # M < 2N
         with pytest.raises(ValueError):
-            QuadratureConfig(Grid(1.0, 20), max_order=5)
+            QuadratureConfig(Grid(1.0, 20), max_order=0)
         with pytest.raises(ValueError):
             Grid(0.0, 10)
+
+    def test_any_order_on_a_fine_enough_grid(self):
+        assert QuadratureConfig(Grid(1.0, 14), max_order=7).max_order == 7
+        with pytest.raises(ValueError, match="grid too coarse"):
+            QuadratureConfig(Grid(1.0, 13), max_order=7)
 
     def test_index_and_order_guards(self, setup):
         model, grid, quad = setup
@@ -420,11 +425,12 @@ def admissible_signs(m, kind):
     return out
 
 
-def gaussian_model(with_mean, g=0.5):
+def gaussian_model(with_mean, g=0.5, gen=rng):
     """Qubit system on a Gaussian bath; the mean varies in time."""
     base = thermal_mode_two_point(1.3, beta=0.8)
     if not with_mean:
-        return ModelSpec(rand_herm(2), rand_herm(2), g, GaussianBath(base))
+        return ModelSpec(rand_herm(2, gen=gen), rand_herm(2, gen=gen), g,
+                         GaussianBath(base))
 
     def mean(tau):
         return 0.4 + 0.2 * np.cos(0.9 * tau)
@@ -454,6 +460,30 @@ class TestChainSweep:
                             got, want, rtol=0, atol=1e-13,
                             err_msg=f"{type(model.bath).__name__} {signs} "
                                     f"at {i}")
+
+    @pytest.mark.parametrize("kind", [SCHRODINGER, ADJOINT])
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_size_five_exact_clusters_match_tuple_sum(self, pinned, kind):
+        brute = TestClusterQuadratureOracle.brute_cluster
+        quad = QuadratureConfig(Grid(0.6, 10), max_order=5)
+        eng = engine_for(rand_model(g=0.5, gen=np.random.default_rng(5)),
+                         quad)
+        for signs in admissible_signs(5, kind):
+            for i in range(7):
+                got = eng.cluster_value(signs, pinned, i, kind)
+                want = brute(eng, signs, pinned, i, kind)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13,
+                                           err_msg=f"{signs} at {i}")
+
+    def test_gaussian_bath_refuses_more_than_four_slots(self):
+        # its slot recursion costs O(M^m) for m slots; the refusal comes
+        # before any cluster is evaluated
+        model = gaussian_model(False, gen=np.random.default_rng(6))
+        quad = QuadratureConfig(Grid(0.6, 10), max_order=5)
+        with pytest.raises(ValueError, match="at most 4 slots"):
+            engine_for(model, quad)
+        with pytest.raises(ValueError, match="at most 4 slots"):
+            generator_table(model, quad, 4)
 
     def test_inadmissible_strings_vanish(self):
         model = rand_model(g=0.5)
@@ -686,6 +716,32 @@ class TestOrderFour:
             eng.generator_order(4, 12), rho))) < 1e-13
         assert np.abs(apply_superop(eng.generator_order(4, 12, ADJOINT),
                                     np.eye(2))).max() < 1e-13
+
+
+class TestOrdersFiveAndSix:
+    """Exact baths above order 4: the same structure as below it."""
+
+    @pytest.mark.parametrize("order", [5, 6])
+    def test_term_and_matrix_paths_agree(self, order):
+        quad = QuadratureConfig(Grid(0.8, 12), max_order=order)
+        eng = engine_for(rand_model(gen=np.random.default_rng(7)), quad)
+        for kind in (SCHRODINGER, ADJOINT):
+            a = eng.generator_order(order, None, kind, TERM_EXPANSION)
+            b = eng.generator_order(order, None, kind, MATRIX_RECURSION)
+            assert np.abs(b).max() > 1e-4
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
+
+    def test_momentum_duality_at_orders_four_to_six(self):
+        # Tr[O (-i)^n mu_n(rho)] = Tr[(i^n mu~_n(O)) rho] at every grid time
+        gen = np.random.default_rng(8)
+        eng = engine_for(rand_model(gen=gen),
+                         QuadratureConfig(Grid(0.8, 12), max_order=6))
+        rho, o0 = rand_state(2, gen), rand_herm(2, gen=gen)
+        for n in (4, 5, 6):
+            lhs = (-1j) ** n * (eng.mu(n) @ vec(rho)) @ vec(o0.T)
+            rhs = 1j ** n * (eng.mu(n, None, ADJOINT) @ vec(o0)) @ vec(rho.T)
+            assert np.abs(lhs).max() > 1e-5
+            assert np.abs(lhs - rhs).max() <= 1e-12
 
 
 class TestVanKampenEvaluation:
