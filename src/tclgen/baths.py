@@ -272,13 +272,6 @@ def ordered_correlation(bath, query):
     return complex(np.trace(bath.rho_E @ x))
 
 
-def heisenberg_phi(bath, tau):
-    """Interaction-picture coupling operator of an EXACT bath."""
-    if not isinstance(bath, ExactBath):
-        raise TypeError("heisenberg_phi requires an EXACT bath")
-    return bath.phi_at(tau)
-
-
 # ---------------------------------------------------------------------------
 # grid-bound correlator tables used by the quadrature kernels
 # ---------------------------------------------------------------------------
@@ -289,9 +282,8 @@ class _GridTable:
     A backend supplies ``_chain(signs, idx)``, the standard correlator of a
     bath-sign string at grid indices that broadcast together.  A table fixes
     the leading indices to ``prefix`` and leaves the last one or two free; it
-    is built by one ``_chain`` call.  A table over the whole grid is cached,
-    so a repeated query returns the same array; one over the first ``size``
-    grid points only is built for a single use and not kept.
+    is built over the whole grid by one ``_chain`` call and cached, so a
+    repeated query returns the same array.
     """
 
     def __init__(self, bath, times):
@@ -300,17 +292,16 @@ class _GridTable:
         self._m1 = len(self.times)
         self._tables = {}      # (signs, prefix) -> (m1,) or (m1, m1) array
 
-    def _table(self, signs, prefix, size=None):
+    def _table(self, signs, prefix):
         key = (signs, tuple(prefix))
-        tab = self._tables.get(key) if size is None else None
+        tab = self._tables.get(key)
         if tab is None:
             free = len(signs) - len(key[1])
             if free not in (1, 2):
                 raise ValueError("a table leaves one or two indices free")
-            grid = np.arange(self._m1 if size is None else size)
-            tab = self._chain(signs, key[1] + np.ix_(*[grid] * free))
-            if size is None:
-                self._tables[key] = tab
+            grid = np.arange(self._m1)
+            tab = self._tables[key] = self._chain(
+                signs, key[1] + np.ix_(*[grid] * free))
         return tab
 
     def pair_free(self, signs):
@@ -321,13 +312,9 @@ class _GridTable:
         """(M+1, M+1) table over the trailing two indices, first index fixed."""
         return self._table(signs, (j1,))
 
-    def chain_rows(self, signs, prefix, size=None):
-        """Table over the one or two grid indices that follow ``prefix``.
-
-        With ``size`` those indices run over grid points 0..size-1 only, and
-        the table is not cached.
-        """
-        return self._table(signs, prefix, size)
+    def chain_rows(self, signs, prefix):
+        """Table over the one or two grid indices that follow ``prefix``."""
+        return self._table(signs, prefix)
 
     def value(self, signs, indices):
         return complex(self._chain(signs, tuple(indices)))

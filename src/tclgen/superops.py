@@ -68,20 +68,21 @@ correlator tables.
 
 Gaussian-bath clusters (one evaluation per sign string and kind): the bath
 correlator does not factor into slot states, so the later slots are summed
-per outer index j0.  Each outer-slot term is ``core(j0) + w tie(j0)`` with
-w = wb/2, c/2 and c for X, D and P: the strict core puts slot 1 below j0,
-the tie term puts it at j0.  For two slots the cores at every j0 are one
-masked (M+1)^2 matmul of the pair table with the stack of slot-1 factors.
-For more, the core recurses over the slots from the outside in, one grid
-point at a time, until the last two are one weighted double sum over the
-correlator table of that prefix, built for that one use.  Below a tie the
-deeper slots can meet j0 again, with its interior weight in X and its
-endpoint weight in D and P, so these clusters have two tie terms.  A free
-cluster of m >= 2 slots then costs O(M^m) table entries and weighted
-terms for all endpoints together, as much as one endpoint evaluated on its
-own, so an engine on a Gaussian bath refuses a ``max_order`` above
-``GAUSSIAN_MAX_SLOTS``.  Only the tables over the whole grid (prefix
-``()``) are kept.
+per outer index j0 with one weight rule.  A later slot at grid point b,
+following its neighbour at a, has the weight ``w(b) theta[a, b]``, where
+theta is the ordering factor and w the trapezoid weights of the grid
+points 0..j0: interior (wb) in X, with the endpoint corner c at j0 in D and
+P.  P drops theta between slots 0 and 1, the domain edge.  Ties at j0 are
+then weights, not separate terms.  For two slots the sums at every j0 are
+one masked (M+1)^2 matmul of the pair table with the stack of slot-1
+factors, plus its diagonal.  For m >= 3 slots each j0 gets the correlator
+box of the later m-1 slots over grid points 0..j0 from one ``_chain``
+call; the weighted box is contracted with the system factors from the
+innermost slot out, one matmul per slot.  A box holds O(j0^(m-1))
+entries, so a free cluster costs O(M^m) time for all endpoints together,
+as much as one endpoint evaluated on its own, and an engine on a Gaussian
+bath refuses a ``max_order`` above ``GAUSSIAN_MAX_SLOTS``.  Only the
+whole-grid pair tables are kept; a box lives for its j0 alone.
 
 Expansion objects on whole-grid stacks: a term is the product of its
 cluster stacks, one batched matmul per factor, and the momenta, their
@@ -178,7 +179,7 @@ class QuadratureConfig:
     Any ``max_order >= 1`` is accepted with ``M >= 2*max_order``.  An exact
     bath serves every order; an engine on a Gaussian bath refuses a
     ``max_order`` above ``GeneratorEngine.GAUSSIAN_MAX_SLOTS`` (4), since
-    its slot recursion costs O(M^m) for clusters of m slots.
+    a Gaussian cluster of m slots costs O(M^m).
     """
 
     grid: Grid
@@ -445,6 +446,7 @@ class GeneratorEngine:
         batch = min(2 ** (top - 1), per) * d2 * d2 * de * de
         space = np.empty(3 * batch, dtype=complex)
         work = np.empty((3, 2 * batch), dtype=complex)
+        first = np.empty((min(2, per),) + shape, dtype=complex)
         nxts = [None] + [np.empty((2, 2 ** lv, 2) + shape, dtype=complex)
                          for lv in range(1, top - 1)]
 
@@ -466,10 +468,12 @@ class GeneratorEngine:
                 # next level's X and D; its new leading sign is bit 0
                 nxt = nxts[lv] if lv + 1 < top else None
                 for lo in range(0, n, per):
-                    part = slice(lo, min(n, lo + per))
+                    hi = min(n, lo + per)
+                    part = slice(lo, hi)
                     if lv == 1:
-                        x = d = (fac[part, j][:, :, :, None, None]
-                                 * inner[part, None, None])
+                        x = d = np.multiply(fac[part, j][:, :, :, None, None],
+                                            inner[part, None, None],
+                                            out=first[:hi - lo])
                     else:
                         x, d = states[0, part], states[1, part]
                     e = run[lv][part]
@@ -486,7 +490,8 @@ class GeneratorEngine:
                         for s in range(2):
                             _slot_op(fac[s][j], 0.5 * phi[j], _BATH_SIGN[s],
                                      buf[:2], nxt[:, part, s], work)
-                    e += wbar * x
+                    # buf is spent: it holds wb X for the running sum
+                    e += np.multiply(wbar, x, out=buf[0])
                 if nxt is not None:
                     states = nxt.reshape((2, 2 * n) + shape)
         out = {}
@@ -504,16 +509,18 @@ class GeneratorEngine:
         """(free, pinned) stacks of one forward Gaussian-bath chain.
 
         ``signs`` is a forward sign string and the system factors are
-        ``self.factors[kind]``.  For each outer index j0 the strict core
-        sums slot 1 over j1 < j0, and the tie term puts slot 1 at j0; X, D
-        and P are the core plus the tie with weight wb/2, c/2 and c.  Below
-        a tie at j0 the deeper slots can tie at j0 again, with the interior
-        or the endpoint weight of j0, so a cluster of three or more slots
-        has two tie terms.
+        ``self.factors[kind]``.  A later slot at b, following its neighbour
+        at a, has the weight ``w(b) theta[a, b]``, where w is wb for X and
+        ``weights(j0)`` for D and P, and P drops theta between slots 0 and
+        1.  For one or two slots this rule is applied at every j0 at once.
+        For more, each j0 gets the correlator box of the later slots over
+        grid points 0..j0 from one ``_chain`` call, and the weighted box is
+        contracted with the system factors from the innermost slot out,
+        one matmul per slot.
         """
-        tab, wb, c = self.factors[kind], self.wb, self.c
+        tab, wb, c, th = self.factors[kind], self.wb, self.c, self.theta
         dsig = flip_signs(signs)
-        m1 = self.grid.M + 1
+        m1, d2 = self.grid.M + 1, self.d2
         lead = tab[signs[0]]
         if len(signs) == 1:
             x = self.ctab.pair_free(dsig)[:, None, None] * lead
@@ -523,48 +530,31 @@ class GeneratorEngine:
             pair = self.ctab.pair_free(dsig)
             strict = np.tril(pair, -1) * wb
             core = (strict @ a1.reshape(m1, -1)).reshape(a1.shape)
-            tie_x = tie_d = np.diagonal(pair)[:, None, None] * a1
+            tie = np.diagonal(pair)[:, None, None] * a1
+            x, d, p = (core + w[:, None, None] * tie
+                       for w in (0.5 * wb, 0.5 * c, c))
         else:
-            core, tie_x, tie_d = np.zeros((3,) + a1.shape, dtype=complex)
-            for j in range(m1):
-                if j:
-                    core[j] = self._slots(tab, signs, dsig, wb, (j,), wb[:j])
-                for tie, w in ((tie_x, wb[:j + 1]), (tie_d, self.weights(j))):
-                    sub = self._slots(tab, signs, dsig, w, (j, j),
-                                      w * self.theta[j, :j + 1])
-                    tie[j] = a1[j] @ sub
-        return self._outer_sum(*(lead @ v for v in (
-            core + (0.5 * wb)[:, None, None] * tie_x,
-            core + (0.5 * c)[:, None, None] * tie_d,
-            core + c[:, None, None] * tie_d)))
-
-    def _slots(self, tab, signs, dsig, w, prefix, wk):
-        """Weighted sum over the slots after ``prefix`` of one chain.
-
-        ``tab`` holds the system factors, ``w`` the trapezoid weights of the
-        later slots, ``prefix`` the grid indices of the earlier slots and
-        ``wk`` the weights of the next slot on grid points 0..len(wk)-1,
-        its ordering factor included.  Slots are summed one grid point at a
-        time until one or two remain; those are one weighted sum over the
-        correlator table of the prefix, built on grid points
-        0..len(wk)-1 alone for this one use.
-        """
-        k, n = len(prefix), len(wk)
-        left = len(signs) - k
-        if left == 1:
-            row = self.ctab.chain_rows(dsig, prefix, n)
-            return np.einsum("j,jab->ab", wk * row, tab[signs[k]][:n])
-        if left == 2:
-            pair = self.ctab.chain_rows(dsig, prefix, n)
-            wd = wk[:, None] * w[None, :n] * self.theta[:n, :n] * pair
-            inner = np.einsum("ab,bjk->ajk", wd, tab[signs[k + 1]][:n])
-            return np.einsum("aij,ajk->ik", tab[signs[k]][:n], inner)
-        out = np.zeros((self.d2, self.d2), dtype=complex)
-        for j in np.flatnonzero(wk):
-            core = self._slots(tab, signs, dsig, w, prefix + (j,),
-                               w[:j + 1] * self.theta[j, :j + 1])
-            out += wk[j] * (tab[signs[k]][j] @ core)
-        return out
+            x, d, p = np.empty((3,) + a1.shape, dtype=complex)
+            for j0 in range(m1):
+                n = j0 + 1
+                # axes j0 (of length 1), j1, ..., j_{m-1}
+                box = self.ctab._chain(
+                    dsig, np.ix_([j0], *[np.arange(n)] * (len(signs) - 1)))
+                # slot 1 follows j0: X and D with theta, P without
+                top = np.vstack([th[j0, :n], np.ones(n)])
+                for w, rows, outs in ((wb[:n], top[:1], (x,)),
+                                      (self.weights(j0), top, (d, p))):
+                    ww = w * th[:n, :n]
+                    r = ((box * ww) @ tab[signs[-1]][:n].reshape(n, -1)
+                         ).reshape(box.shape[:-1] + (d2, d2))
+                    for k in range(len(signs) - 2, 0, -1):
+                        r = r * (ww if k > 1 else w * rows)[..., None, None]
+                        ak = tab[signs[k]][:n].transpose(1, 0, 2)
+                        r = ak.reshape(d2, -1) @ r.reshape(
+                            r.shape[:-3] + (n * d2, d2))
+                    for out, v in zip(outs, r):
+                        out[j0] = v
+        return self._outer_sum(*(lead @ v for v in (x, d, p)))
 
     # -- expansion objects on the whole grid ----------------------------
 

@@ -14,7 +14,6 @@ from tclgen.baths import (
     all_pairings,
     boson_mode_bath,
     correlator_table,
-    heisenberg_phi,
     interaction_picture,
     isserlis_correlation,
     ordered_correlation,
@@ -121,7 +120,7 @@ class TestSpecValidation:
 class TestHeisenbergPhi:
     def test_zero_time_is_identity_rotation(self):
         bath = rand_bath()
-        np.testing.assert_allclose(heisenberg_phi(bath, 0.0), bath.phi,
+        np.testing.assert_allclose(bath.phi_at(0.0), bath.phi,
                                    atol=1e-14)
 
     def test_commuting_case_is_constant(self):
@@ -129,19 +128,14 @@ class TestHeisenbergPhi:
         phi = np.diag([1.0, -1.0, 0.5]).astype(complex)
         rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
         bath = ExactBath(h, phi, rho)
-        np.testing.assert_allclose(heisenberg_phi(bath, 1.7), phi, atol=1e-13)
+        np.testing.assert_allclose(bath.phi_at(1.7), phi, atol=1e-13)
 
     def test_spectrum_preserved(self):
         bath = rand_bath()
         for tau in (0.37, 2.9):
-            got = np.linalg.eigvalsh(heisenberg_phi(bath, tau))
+            got = np.linalg.eigvalsh(bath.phi_at(tau))
             want = np.linalg.eigvalsh(bath.phi)
             np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_rejects_gaussian_variant(self):
-        gb = GaussianBath(thermal_mode_two_point(1.0, beta=1.0))
-        with pytest.raises(TypeError):
-            heisenberg_phi(gb, 0.5)
 
 
 class TestInteractionPicture:
@@ -405,17 +399,3 @@ class TestCorrelatorTables:
             gb, CorrelationQuery("+--+", (times[6], times[4], times[2],
                                           times[0])))
         assert abs(first[3][0] - want) < 1e-13
-
-    def test_partial_tables_are_built_for_one_use(self):
-        gb = GaussianBath(thermal_mode_two_point(1.0, beta=1.2),
-                          mean=lambda tau: 0.3)
-        tab = correlator_table(gb, np.linspace(0, 2.0, 9))
-        for signs, prefix in (("+-+", (7,)), ("+--+", (8, 6)),
-                              ("+-+", (6, 6))):
-            part = tab.chain_rows(signs, prefix, 5)
-            full = tab.chain_rows(signs, prefix)
-            idx = (slice(0, 5),) * (len(signs) - len(prefix))
-            assert part.shape == full[idx].shape
-            assert part.tobytes() == full[idx].tobytes()
-            assert tab.chain_rows(signs, prefix, 5) is not part
-        assert len(tab._tables) == 3  # only the whole-grid tables are kept

@@ -325,6 +325,43 @@ class TestNumericCommands:
         assert outs[0] == outs[1]
 
 
+CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+
+
+def sample_runs():
+    """(config, command) for every command each sample config supports.
+
+    ``compare`` needs a state, a forward model and an exact bath for its
+    oracle.
+    """
+    for path in CONFIGS:
+        cfg = json.loads(path.read_text())
+        yield path, "evaluate"
+        yield path, "propagate"
+        if ("rho0" in cfg["model"] and not cfg.get("adjoint", False)
+                and cfg["bath"]["type"] != "gaussian"):
+            yield path, "compare"
+
+
+class TestSampleConfigs:
+    def test_samples_include_a_gaussian_bath_at_order_four(self):
+        # the Gaussian sample reaches four-slot clusters through the CLI
+        cfgs = [json.loads(path.read_text()) for path in CONFIGS]
+        assert any(cfg["bath"]["type"] == "gaussian" and cfg["order"] == 4
+                   for cfg in cfgs)
+
+    @pytest.mark.parametrize("path,command", list(sample_runs()),
+                             ids=lambda v: getattr(v, "stem", v))
+    def test_sample_runs_are_byte_identical(self, tmp_path, path, command):
+        outs = []
+        for name in ("r1", "r2"):
+            assert main([command, "--config", str(path),
+                         "--out", str(tmp_path / name)]) == 0
+            outs.append(sorted((f.name, f.read_bytes())
+                               for f in (tmp_path / name).iterdir()))
+        assert len(outs[0]) == 2 and outs[0] == outs[1]
+
+
 class TestErrorPaths:
     def test_unknown_key_is_config_error(self, config_path, tmp_path):
         cfg = dephasing_config()

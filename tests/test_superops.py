@@ -437,7 +437,7 @@ def gaussian_model(with_mean, g=0.5, gen=rng):
 
     bath = GaussianBath(lambda tau, s: base(tau, s) + mean(tau) * mean(s),
                         mean=mean)
-    return ModelSpec(rand_herm(2), rand_herm(2), g, bath)
+    return ModelSpec(rand_herm(2, gen=gen), rand_herm(2, gen=gen), g, bath)
 
 
 class TestChainSweep:
@@ -636,6 +636,22 @@ class TestWholeGridStacks:
         tables = engine_for(model, quad).ctab._tables
         assert all(prefix == () for _, prefix in tables)
 
+    @pytest.mark.parametrize("kind", [SCHRODINGER, ADJOINT])
+    def test_gaussian_four_slot_cluster_is_one_box_per_outer_time(self,
+                                                                  kind):
+        # the later slots at each outer index j0 come from one correlator
+        # box, built by one _chain call and kept by no table
+        quad = QuadratureConfig(Grid(0.6, 10), max_order=4)
+        eng = engine_for(gaussian_model(True, gen=np.random.default_rng(10)),
+                         quad)
+        calls = []
+        chain = eng.ctab._chain
+        eng.ctab._chain = lambda *args: calls.append(args) or chain(*args)
+        signs = "-+-+" if kind == SCHRODINGER else "+-+-"
+        assert eng.cluster_value(signs, False, None, kind).any()
+        assert len(calls) == quad.grid.M + 1
+        assert not eng.ctab._tables
+
     def test_cached_stacks_are_read_only(self, setup):
         model, grid, quad = setup
         eng = engine_for(model, quad)
@@ -766,7 +782,7 @@ class TestVanKampenEvaluation:
             VKTerm(((0,), (2, 3), (1,)), 1), VKTerm(((0,), (1,), (2, 3)), 1),
             VKTerm(((0,), (2,), (1, 3)), 1), VKTerm(((0,), (3,), (1, 2)), 1),
         ]
-        model = rand_model()
+        model = rand_model(gen=np.random.default_rng(9))
         gaps, fixed = {}, {}
         for m in (10, 20):
             quad = QuadratureConfig(Grid(0.8, m), max_order=4)
