@@ -31,11 +31,10 @@ makes state/observable duality hold numerically order by order.  The dual
 needs a stationary bath state, so an adjoint cluster on a non-stationary
 exact bath is refused.
 
-Exact-bath clusters (one sweep per kind): a chain of m slots is carried
-from the inside out as running joint system x bath states of shape
-(d^2, d^2, d_E, d_E).  ``Op_k(j)`` multiplies the system factor of slot k
-at t_j into the state and applies ``(phi_j Y +- Y phi_j)/2`` to its bath
-factor::
+Exact-bath chains: a chain of m slots is carried from the inside out as
+running joint system x bath states of shape (d^2, d^2, d_E, d_E).
+``Op_k(j)`` multiplies the system factor of slot k at t_j into the state
+and applies ``(phi_j Y +- Y phi_j)/2`` to its bath factor::
 
     X_{m-1}(j) = D_{m-1}(j) = Op_{m-1}(j)[rho_E]
     X_k(j) = Op_k(j)[E_{k+1}(j) + wb(j)/2 X_{k+1}(j)]
@@ -45,26 +44,50 @@ factor::
 X is the slot state for an interior point, D the one whose latest time is
 the endpoint itself, and E the strict running sum.  The outer-slot terms
 are ``Tr_E X_0``, ``Tr_E D_0`` and ``Tr_E Op_0(j)[E_1(j) + c(j) D_1(j)]``;
-the outer-slot sum, run once per trie level (below), then gives the same
+the outer-slot sum, run once per level (below), then gives the same
 iterated trapezoid with tie and edge weights, to round-off.  A nonzero
 cluster has a PLUS outer bath sign, so slot 0 is only ever needed traced
-and costs no d_E^3 work.
+and costs no d_E^3 work.  Level L of a sweep holds the states of slot
+k = m-1-L, which do not depend on m.
 
-The X, D and E states of slot k depend only on the suffix of the sign
-string from slot k on, so one sweep keeps them per suffix, as a trie:
-level L holds the states of all 2^L suffixes as one stack, level L+1 is
-``Op_+`` and ``Op_-`` applied to the stacked ``[E + wb/2 X, E + c/2 D]`` of
-level L, and the traced top slot over level L gives every string of size
-L+1.  Each distinct suffix state is then built once per grid point: an
-order-N sweep costs 2^(N+1) - 8 state applications per grid point, against
-(N-3) 2^(N+1) + 8 for one sweep per string (24 against 40 at N=4, 56
-against 136 at N=5).  ``Op`` runs on batches of stacked states: the system
-factor is one matmul per state, and each bath product is one 2-D matmul
-over the whole batch.  A batch holds at most ``GeneratorEngine.CHUNK``
-matrix elements, so a large bath state goes through alone.  The sweep
-costs O(2^N M (d_S^6 d_E^2 + d_S^4 d_E^3)) time and keeps only the running
-states in memory, against O(M^3) to O(M^4) per endpoint for cell-by-cell
-correlator tables.
+Exact-bath momenta (one sweep per kind; the matrix-recursion path reads
+nothing else).  mu_n sums the 2^(n-1) clusters of size n with a MINUS
+outer slot, and the chain is linear in every inner slot, so the sum over
+the inner signs moves inside it: every inner slot applies one summed
+operator::
+
+    Op_S(j)[Y] = A^-(t_j) {phi_j, Y}/2 + eta A^+(t_j) [phi_j, Y]/2
+               = (A^- + eta A^+)(t_j) (phi_j Y)/2
+                 + (A^- - eta A^+)(t_j) (Y phi_j)/2
+
+with eta = +1 for the forward kind.  An adjoint momentum sums forward
+chains in the transposed factors, each times (-1)^(number of PLUS slots),
+so eta = -1 there and the result is transposed back.  The recurrence above
+with Op_S in every inner slot keeps one X, D and E state per level, and the
+traced top over level L gives mu_{L+1} (free) and its derivative (pinned).
+Level 1 is two outer products, each deeper level one Op_S on the pair
+``[E + wb/2 X, E + c/2 D]`` of the level below: an order-N sweep costs
+2N - 3 state applications per grid point (5 at N=4, 13 at N=8) and
+O(N M (d_S^6 d_E^2 + d_S^4 d_E^3)) time.  The top traces each state before
+the weighted sums, ``Tr_E[phi_j (E + w X)] = Tr_E[phi_j E] + w Tr_E[phi_j
+X]``, so the sweep keeps 3(N-1) states, made once, and the traces of each
+level at every grid point.
+
+Exact-bath clusters (one trie sweep per kind; the term-expansion path,
+and so the check on the momentum sweep).  The states of slot k depend
+only on the suffix of the sign string from slot k on, so one sweep keeps
+them per suffix, as a trie: level L holds the states of all 2^L suffixes
+as one stack, level L+1 is ``Op_+`` and ``Op_-`` applied to the stacked
+``[E + wb/2 X, E + c/2 D]`` of level L, and the traced top slot over level
+L gives every string of size L+1.  Each distinct suffix state is then
+built once per grid point: an order-N sweep costs 2^(N+1) - 8 state
+applications per grid point, against (N-3) 2^(N+1) + 8 for one sweep per
+string (24 against 40 at N=4, 56 against 136 at N=5).  ``Op`` runs on
+batches of stacked states: the system factor is one matmul per state, and
+each bath product is one 2-D matmul over the whole batch.  A batch holds
+at most ``GeneratorEngine.CHUNK`` matrix elements, so a large bath state
+goes through alone.  The sweep costs O(2^N M (d_S^6 d_E^2 + d_S^4 d_E^3))
+time and keeps only the running states in memory.
 
 Gaussian-bath clusters (one evaluation per sign string and kind): the bath
 correlator does not factor into slot states, so the later slots are summed
@@ -85,11 +108,13 @@ bath refuses a ``max_order`` above ``GAUSSIAN_MAX_SLOTS``.  Only the
 whole-grid pair tables are kept; a box lives for its j0 alone.
 
 Expansion objects on whole-grid stacks: a term is the product of its
-cluster stacks, one batched matmul per factor, and the momenta, their
-derivatives and the orders L_n are sums and batched products of those
-stacks, cached per (order, kind).  Batched matmul multiplies each grid
-point's matrices with the same product as a single 2-D matmul, so a grid
-index of a stack has the bits of that grid point evaluated alone.
+cluster stacks, one batched matmul per factor.  The momenta and their
+derivatives come from the momentum sweep on an exact bath and are sums of
+cluster stacks on a Gaussian one, and the orders L_n are batched products
+of momenta; all are cached per (order, kind).  Batched matmul multiplies
+each grid point's matrices with the same product as a single 2-D matmul,
+so a grid index of a stack has the bits of that grid point evaluated
+alone.
 """
 
 from __future__ import annotations
@@ -284,6 +309,25 @@ def _slot_op(fac_j, half_j, bsign, y, out, work):
            zp.reshape(out.shape), out=out)
 
 
+def _summed_op(left_j, right_j, half_j, y, out, work):
+    """``out = Op_S(j)[y]`` for a stack of joint states; ``half_j = phi_j/2``.
+
+    ``Op_S(j)[Y] = left_j (phi_j Y)/2 + right_j (Y phi_j)/2`` is the slot
+    operator summed over both signs (module docstring).  ``phi_j Y`` is one
+    2-D matmul on a transposed copy and stays transposed through its system
+    factor; the sum transposes it back.  ``work`` holds three arrays of the
+    shape of ``y``.
+    """
+    s, d2, de = y.shape[0], y.shape[1], y.shape[-1]
+    zt, p, q = work
+    np.copyto(zt, y.swapaxes(-1, -2))
+    np.matmul(zt.reshape(-1, de), half_j.T, out=p.reshape(-1, de))
+    np.matmul(y.reshape(-1, de), half_j, out=q.reshape(-1, de))
+    np.matmul(left_j, p.reshape(s, d2, -1), out=zt.reshape(s, d2, -1))
+    np.matmul(right_j, q.reshape(s, d2, -1), out=p.reshape(s, d2, -1))
+    np.add(zt.swapaxes(-1, -2), p, out=out)
+
+
 def _theta_tilde(m1):
     th = np.zeros((m1, m1))
     idx = np.arange(m1)
@@ -305,8 +349,10 @@ class GeneratorEngine:
     momenta and generator orders are evaluated on the whole grid at once,
     as (M+1, d^2, d^2) stacks; an entry point given a grid index ``i``
     returns that slice of the stack, and ``i=None`` returns the stack.
-    Reusing one engine across calls is what makes the two generator paths
-    agree to round-off (they literally share the cached cluster stacks).
+    On an exact bath the two generator paths share no arithmetic: the
+    matrix recursion reads the momentum sweep and the term expansion the
+    trie sweep's clusters, so their agreement to round-off checks both.  On
+    a Gaussian bath both read the same cached cluster stacks.
     """
 
     def __init__(self, model, quad):
@@ -505,6 +551,73 @@ class GeneratorEngine:
                 out[signs] = free[idx], pinned[idx]
         return out
 
+    def _momentum_sweep(self, kind):
+        """Cache every exact-bath momentum of one kind from one chain sweep.
+
+        Fills ``self._mu`` under ``(n, kind, dotted)`` for n = 1..max_order.
+        Level L keeps one X, D and E state: the sums over the signs of the
+        L inner slots, with the parity eta of each PLUS slot for the adjoint
+        kind.  Their traces at every grid point are kept, and the traced top
+        over level L gives mu_{L+1} and its derivative through
+        ``_outer_sum``.  See the module docstring for the recurrence.
+        """
+        if kind == ADJOINT and not self.model.bath.is_stationary():
+            raise ValueError("adjoint evaluation requires a stationary bath")
+        tab = self.factors[kind]
+        eta = -1.0 if kind == ADJOINT else 1.0
+        lead = tab[MINUS]  # the outer slot of a momentum is MINUS
+        left, right = lead + eta * tab[PLUS], lead - eta * tab[PLUS]
+        factors = np.stack((left, right), -1)
+        halves = 0.5 * np.stack((self.wb, self.c), -1)
+        m1, d2, top = self.grid.M + 1, self.d2, self.quad.max_order
+        phi = self.ctab.phi_tab
+        rho = self.ctab.bath.rho_E
+        de = rho.shape[0]
+        # all buffers are made once: [E, X, D] per level, the traces of
+        # those at every grid point, and the slot operator's work space
+        states = np.zeros((top - 1, 3, d2, d2, de, de), dtype=complex)
+        traces = np.empty((top - 1, m1, 3, d2, d2), dtype=complex)
+        buf = np.empty((2, d2, d2, de, de), dtype=complex)
+        work = np.empty((3,) + buf.shape, dtype=complex)
+        pair = np.empty((2, de, de), dtype=complex)
+        for j in range(m1 if top > 1 else 0):
+            half = 0.5 * phi[j]
+            phi_t = phi[j].T.reshape(-1)
+            # level 1: X = D = Op_S(j)[rho_E], two outer products
+            np.matmul(half, rho, out=pair[0])
+            np.matmul(rho, half, out=pair[1])
+            np.matmul(factors[j].reshape(-1, 2), pair.reshape(2, -1),
+                      out=states[0, 1].reshape(d2 * d2, -1))
+            states[0, 2] = states[0, 1]
+            for lv, st in enumerate(states):
+                np.matmul(st.reshape(-1, de * de), phi_t,
+                          out=traces[lv, j].reshape(-1))
+                if lv + 2 < top:
+                    # [E + wb/2 X, E + c/2 D] into the next level's X, D
+                    np.multiply(halves[j, :, None, None, None, None], st[1:],
+                                out=buf)
+                    buf += st[0]
+                    _summed_op(left[j], right[j], half, buf,
+                               states[lv + 1, 1:], work)
+                st[0] += np.multiply(self.wb[j], st[1], out=work[0, 0])
+        # outer-slot terms X, D, P of every level: traced top on
+        # [E + wb/2 X, E + c/2 D, E + c D], summed after tracing
+        tr0 = np.einsum("jab,ba->j", phi, rho)[:, None, None]
+        terms = np.empty((3, top, m1, d2, d2), dtype=complex)
+        terms[:, 0] = tr0 * lead
+        e, x, d = (traces[:, :, k] for k in range(3))
+        for out, w, y in ((terms[0], 0.5 * self.wb, x),
+                          (terms[1], 0.5 * self.c, d),
+                          (terms[2], self.c, d)):
+            np.matmul(lead, e + w[:, None, None] * y, out=out[1:])
+        free, pinned = self._outer_sum(*terms)
+        for n in range(1, top + 1):
+            for dotted, val in ((False, free[n - 1]), (True, pinned[n - 1])):
+                if kind == ADJOINT:
+                    val = val.transpose(0, 2, 1)
+                # a copy, so that no cached stack keeps the others alive
+                self._mu[n, kind, dotted] = _frozen(np.array(val))
+
     def _gaussian_cluster(self, signs, kind):
         """(free, pinned) stacks of one forward Gaussian-bath chain.
 
@@ -516,11 +629,15 @@ class GeneratorEngine:
         For more, each j0 gets the correlator box of the later slots over
         grid points 0..j0 from one ``_chain`` call, and the weighted box is
         contracted with the system factors from the innermost slot out,
-        one matmul per slot.
+        one matmul per slot.  On a zero-mean bath an odd cluster of three or
+        more slots is zero (Isserlis) and is not evaluated.
         """
         tab, wb, c, th = self.factors[kind], self.wb, self.c, self.theta
         dsig = flip_signs(signs)
         m1, d2 = self.grid.M + 1, self.d2
+        if len(signs) > 1 and len(signs) % 2 and self.ctab.bath.mean is None:
+            zero = np.zeros((m1, d2, d2), dtype=complex)
+            return zero, zero
         lead = tab[signs[0]]
         if len(signs) == 1:
             x = self.ctab.pair_free(dsig)[:, None, None] * lead
@@ -579,13 +696,25 @@ class GeneratorEngine:
         return self._at(term.coeff * out, i)
 
     def mu(self, n, i=None, kind=SCHRODINGER, dotted=False):
+        """The n-th momentum (or its derivative) at t_i, or its stack.
+
+        An exact bath gets every momentum of the kind from one
+        ``_momentum_sweep``; a Gaussian bath sums its cluster terms.
+        """
         self._check_index(i)
+        if not 1 <= n <= self.quad.max_order:
+            raise ValueError(f"momentum order {n} outside "
+                             f"1..{self.quad.max_order}")
         key = (n, kind, dotted)
         val = self._mu.get(key)
         if val is None:
-            make = momentum_derivative_terms if dotted else momentum_terms
-            val = self._mu[key] = _frozen(sum(
-                self.term_value(t) for t in make(n, kind)))
+            if self._exact:
+                self._momentum_sweep(kind)
+                val = self._mu[key]
+            else:
+                make = momentum_derivative_terms if dotted else momentum_terms
+                val = self._mu[key] = _frozen(sum(
+                    self.term_value(t) for t in make(n, kind)))
         return self._at(val, i)
 
     def generator_order(self, n, i=None, kind=SCHRODINGER,

@@ -26,7 +26,7 @@ from tclgen.superops import (
     engine_for,
     vec,
 )
-from tclgen.terms import ADJOINT, SCHRODINGER
+from tclgen.terms import ADJOINT, SCHRODINGER, momentum_terms
 
 RTOL = 1e-12
 EXAMPLES = settings(max_examples=12, deadline=None)
@@ -145,3 +145,24 @@ def test_momentum_duality_at_every_order(case):
         rhs = 1j ** n * (mu_adj @ vec(obs)) @ vec(rho.T)
         assert np.abs(lhs - rhs).max() <= RTOL * _scale(mu, mu_adj) * _scale(
             obs)
+
+
+@EXAMPLES
+@given(cases(stationary=False))
+def test_momenta_match_the_cluster_sums(case):
+    # an exact bath's momenta come from one sign-summed sweep per kind; the
+    # term path sums their clusters, one per sign string
+    eng = case.engine
+    if not isinstance(eng.model.bath, ExactBath):
+        return
+    kinds = ((SCHRODINGER, ADJOINT) if eng.model.bath.is_stationary()
+             else (SCHRODINGER,))
+    for kind in kinds:
+        for n in range(1, case.order + 1):
+            for dotted in (False, True):
+                want = sum(t.coeff * eng.cluster_value(t.signs, dotted, None,
+                                                       kind)
+                           for t in momentum_terms(n, kind))
+                np.testing.assert_allclose(
+                    eng.mu(n, None, kind, dotted), want, rtol=0,
+                    atol=1e-13 * np.abs(want).max())

@@ -33,7 +33,7 @@ from tclgen.superops import (
     unvec,
     vec,
 )
-from tclgen.terms import ADJOINT, SCHRODINGER, ClusteredTerm
+from tclgen.terms import ADJOINT, SCHRODINGER, ClusteredTerm, momentum_terms
 
 rng = np.random.default_rng(23)
 
@@ -142,6 +142,9 @@ class TestSpecGuards:
             evaluate_term(big, 3, model, quad)
         with pytest.raises(ValueError):
             assemble_generator(4, 3, model, quad)
+        for n in (0, 4):
+            with pytest.raises(ValueError):
+                evaluate_mu(n, 3, model, quad)
 
 
 class TestEvaluateTerm:
@@ -574,6 +577,58 @@ class TestSuffixTrieSweep:
             eng.cluster_value("-+-", False, 4, SCHRODINGER)
 
 
+def cluster_momentum(eng, n, kind, dotted):
+    """mu_n (or its derivative) as the sum of its clusters, one per string."""
+    return sum(t.coeff * eng.cluster_value(t.signs, dotted, None, kind)
+               for t in momentum_terms(n, kind))
+
+
+def qutrit_model(gen):
+    """A random d_S=3 system on a random stationary d_E=3 bath."""
+    e, v = np.linalg.eigh(rand_herm(3, gen=gen))
+    p = np.exp(-0.9 * (e - e.min()))
+    bath = ExactBath((v * e) @ v.conj().T, rand_herm(3, gen=gen),
+                     (v * (p / p.sum())) @ v.conj().T)
+    return ModelSpec(rand_herm(3, gen=gen), rand_herm(3, gen=gen), 0.4, bath)
+
+
+class TestMomentumSweep:
+    """Exact-bath momenta from one sign-summed sweep per kind."""
+
+    @pytest.mark.parametrize("which", ["qubit", "qutrit"])
+    def test_momenta_match_the_cluster_sums(self, which):
+        gen = np.random.default_rng(11)
+        model = rand_model(gen=gen) if which == "qubit" else qutrit_model(gen)
+        eng = engine_for(model, QuadratureConfig(Grid(0.8, 12), max_order=6))
+        for kind in (SCHRODINGER, ADJOINT):
+            for n in range(1, 7):
+                for dotted in (False, True):
+                    want = cluster_momentum(eng, n, kind, dotted)
+                    got = eng.mu(n, None, kind, dotted)
+                    assert np.abs(want).max() > 1e-6
+                    np.testing.assert_allclose(
+                        got, want, rtol=0, atol=1e-13 * np.abs(want).max(),
+                        err_msg=f"{kind} n={n} dotted={dotted}")
+
+    def test_generator_table_reads_only_the_sweep(self, monkeypatch):
+        # no cluster, trie sweep or momentum term list on the matrix path
+        import tclgen.superops as superops
+        from tclgen.superops import GeneratorEngine
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the momenta left the sweep")
+
+        for name in ("cluster_value", "_kind_sweep"):
+            monkeypatch.setattr(GeneratorEngine, name, forbidden)
+        for name in ("momentum_terms", "momentum_derivative_terms"):
+            monkeypatch.setattr(superops, name, forbidden)
+        model = rand_model()
+        for kind_model in (model, replace(model, adjoint=True)):
+            quad = QuadratureConfig(Grid(0.8, 12), max_order=4)
+            tab = generator_table(kind_model, quad, 4)
+            assert np.isfinite(tab).all() and np.abs(tab).max() > 0
+
+
 class TestWholeGridStacks:
     """The recursion runs on (M+1, d^2, d^2) stacks; single times index them."""
 
@@ -651,6 +706,27 @@ class TestWholeGridStacks:
         assert eng.cluster_value(signs, False, None, kind).any()
         assert len(calls) == quad.grid.M + 1
         assert not eng.ctab._tables
+
+    @pytest.mark.parametrize("order", [3, 4])
+    @pytest.mark.parametrize("kind", [SCHRODINGER, ADJOINT])
+    def test_zero_mean_odd_gaussian_clusters_are_not_evaluated(self, kind,
+                                                               order):
+        # every odd moment of a zero-mean Gaussian bath vanishes (Isserlis);
+        # with a mean, the same clusters are evaluated and do not vanish
+        quad = QuadratureConfig(Grid(0.6, 10), max_order=order)
+        for with_mean in (False, True):
+            eng = engine_for(gaussian_model(
+                with_mean, gen=np.random.default_rng(12)), quad)
+            calls, nonzero = [], []
+            chain = eng.ctab._chain
+            eng.ctab._chain = lambda *args: calls.append(args) or chain(*args)
+            for signs in admissible_signs(3, kind):
+                for pinned in (False, True):
+                    val = eng.cluster_value(signs, pinned, None, kind)
+                    assert val.shape == (quad.grid.M + 1, eng.d2, eng.d2)
+                    nonzero.append(val.any())
+            assert any(nonzero) == with_mean
+            assert bool(calls) == with_mean
 
     def test_cached_stacks_are_read_only(self, setup):
         model, grid, quad = setup
