@@ -50,6 +50,16 @@ def _integer(section, value):
     return value
 
 
+def _number(section, value):
+    """A real config value; strings, booleans and null are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{section} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{section} is too large for a float") from None
+
+
 def _boolean(section, value):
     if not isinstance(value, bool):
         raise ConfigError(f"{section} must be true or false, got {value!r}")
@@ -71,6 +81,10 @@ def _parse_bath(cfg, T):
         "H_E", "phi", "rho_E", "omega", "beta", "n_max", "shift",
         "two_point", "two_point_csv"))
     kind = cfg["type"]
+    # a null beta is the vacuum
+    beta = cfg.get("beta")
+    if beta is not None:
+        beta = _number("bath.beta", beta)
     if kind == "exact":
         _require_keys("bath(exact)", cfg, ("type", "H_E", "phi", "rho_E"))
         return baths.ExactBath(_parse_matrix("bath.H_E", cfg["H_E"]),
@@ -79,16 +93,17 @@ def _parse_bath(cfg, T):
     if kind == "boson-mode":
         _require_keys("bath(boson-mode)", cfg, ("type", "omega", "n_max"),
                       ("beta", "shift"))
-        return baths.boson_mode_bath(float(cfg["omega"]),
+        return baths.boson_mode_bath(_number("bath.omega", cfg["omega"]),
                                      _integer("bath.n_max", cfg["n_max"]),
-                                     beta=cfg.get("beta"),
-                                     shift=float(cfg.get("shift", 0.0)))
+                                     beta=beta,
+                                     shift=_number("bath.shift",
+                                                   cfg.get("shift", 0.0)))
     if kind == "dephasing-qubit":
         # vacuum single mode; the canonical dephasing environment
         _require_keys("bath(dephasing-qubit)", cfg, ("type",),
                       ("omega", "n_max"))
         return baths.boson_mode_bath(
-            float(cfg.get("omega", 1.0)),
+            _number("bath.omega", cfg.get("omega", 1.0)),
             _integer("bath.n_max", cfg.get("n_max", 6)), beta=None)
     if kind == "gaussian":
         _require_keys("bath(gaussian)", cfg, ("type",),
@@ -102,8 +117,8 @@ def _parse_bath(cfg, T):
         if "omega" not in cfg:
             raise ConfigError("gaussian single-mode-thermal needs omega")
         return baths.GaussianBath(
-            baths.thermal_mode_two_point(float(cfg["omega"]),
-                                         beta=cfg.get("beta")))
+            baths.thermal_mode_two_point(_number("bath.omega", cfg["omega"]),
+                                         beta=beta))
     raise ConfigError(f"unknown bath type {kind!r}")
 
 
@@ -179,14 +194,14 @@ def load_config(path):
     parsed = {
         "H_S": _parse_matrix("model.H_S", mcfg["H_S"], d_s),
         "A": _parse_matrix("model.A", mcfg["A"], d_s),
-        "g": float(mcfg["g"]),
+        "g": _number("model.g", mcfg["g"]),
         "rho0": (_parse_matrix("model.rho0", mcfg["rho0"], d_s)
                  if "rho0" in mcfg else None),
         "observable": (_parse_matrix("model.observable",
                                      mcfg["observable"], d_s)
                        if "observable" in mcfg else None),
         "bath_cfg": cfg["bath"],
-        "T": float(gcfg["T"]),
+        "T": _number("grid.T", gcfg["T"]),
         "M": _integer("grid.M", gcfg["M"]),
         "order": order,
         "adjoint": _boolean("adjoint", cfg.get("adjoint", False)),
@@ -199,7 +214,8 @@ def load_config(path):
         if (not isinstance(parsed["couplings"], list)
                 or len(parsed["couplings"]) < 2):
             raise ConfigError("couplings must be a list of at least two values")
-        parsed["couplings"] = [float(g) for g in parsed["couplings"]]
+        parsed["couplings"] = [_number("couplings", g)
+                               for g in parsed["couplings"]]
     return parsed
 
 

@@ -31,63 +31,42 @@ makes state/observable duality hold numerically order by order.  The dual
 needs a stationary bath state, so an adjoint cluster on a non-stationary
 exact bath is refused.
 
-Exact-bath chains: a chain of m slots is carried from the inside out as
-running joint system x bath states of shape (d^2, d^2, d_E, d_E).
-``Op_k(j)`` multiplies the system factor of slot k at t_j into the state
-and applies ``(phi_j Y +- Y phi_j)/2`` to its bath factor::
+Exact-bath chains (one ``_sweep`` per kind and branch set): a chain of m
+slots is carried from the inside out as running joint system x bath
+states of shape (d^2, d^2, d_E, d_E).  An inner slot at t_j applies the
+operator of its branch k, ``Op_k(j)[Y] = left_k(t_j) (phi_j Y)/2 +
+right_k(t_j) (Y phi_j)/2``::
 
-    X_{m-1}(j) = D_{m-1}(j) = Op_{m-1}(j)[rho_E]
-    X_k(j) = Op_k(j)[E_{k+1}(j) + wb(j)/2 X_{k+1}(j)]
-    D_k(j) = Op_k(j)[E_{k+1}(j) + c(j)/2 D_{k+1}(j)]
+    X_{m-1}(j) = D_{m-1}(j) = Op(j)[rho_E]
+    X_k(j) = Op(j)[E_{k+1}(j) + wb(j)/2 X_{k+1}(j)]
+    D_k(j) = Op(j)[E_{k+1}(j) + c(j)/2 D_{k+1}(j)]
     E_k(j) = sum_{j' < j} wb(j') X_k(j')
 
 X is the slot state for an interior point, D the one whose latest time is
 the endpoint itself, and E the strict running sum.  The outer-slot terms
-are ``Tr_E X_0``, ``Tr_E D_0`` and ``Tr_E Op_0(j)[E_1(j) + c(j) D_1(j)]``;
-the outer-slot sum, run once per level (below), then gives the same
-iterated trapezoid with tie and edge weights, to round-off.  A nonzero
-cluster has a PLUS outer bath sign, so slot 0 is only ever needed traced
-and costs no d_E^3 work.  Level L of a sweep holds the states of slot
-k = m-1-L, which do not depend on m.
+are ``Tr_E X_0``, ``Tr_E D_0`` and ``Tr_E Op_0(j)[E_1(j) + c(j) D_1(j)]``,
+traced before the weighted sums, and the outer-slot sum then gives the
+same iterated trapezoid with tie and edge weights, to round-off.  A
+nonzero cluster has a PLUS outer bath sign, so slot 0 is only needed
+traced and costs no d_E^3 work.  The states of slot k = m-1-L do not depend on m: level L
+of a sweep holds them for all K^L branch strings, and its traced top gives
+every chain of size L+1.  Level 1 is two outer products per branch, and
+each deeper level applies every ``Op_k`` to ``[E + wb/2 X, E + c/2 D]``.
 
-Exact-bath momenta (one sweep per kind; the matrix-recursion path reads
-nothing else).  mu_n sums the 2^(n-1) clusters of size n with a MINUS
-outer slot, and the chain is linear in every inner slot, so the sum over
-the inner signs moves inside it: every inner slot applies one summed
-operator::
-
-    Op_S(j)[Y] = A^-(t_j) {phi_j, Y}/2 + eta A^+(t_j) [phi_j, Y]/2
-               = (A^- + eta A^+)(t_j) (phi_j Y)/2
-                 + (A^- - eta A^+)(t_j) (Y phi_j)/2
-
-with eta = +1 for the forward kind.  An adjoint momentum sums forward
-chains in the transposed factors, each times (-1)^(number of PLUS slots),
-so eta = -1 there and the result is transposed back.  The recurrence above
-with Op_S in every inner slot keeps one X, D and E state per level, and the
-traced top over level L gives mu_{L+1} (free) and its derivative (pinned).
-Level 1 is two outer products, each deeper level one Op_S on the pair
-``[E + wb/2 X, E + c/2 D]`` of the level below: an order-N sweep costs
-2N - 3 state applications per grid point (5 at N=4, 13 at N=8) and
-O(N M (d_S^6 d_E^2 + d_S^4 d_E^3)) time.  The top traces each state before
-the weighted sums, ``Tr_E[phi_j (E + w X)] = Tr_E[phi_j E] + w Tr_E[phi_j
-X]``, so the sweep keeps 3(N-1) states, made once, and the traces of each
-level at every grid point.
-
-Exact-bath clusters (one trie sweep per kind; the term-expansion path,
-and so the check on the momentum sweep).  The states of slot k depend
-only on the suffix of the sign string from slot k on, so one sweep keeps
-them per suffix, as a trie: level L holds the states of all 2^L suffixes
-as one stack, level L+1 is ``Op_+`` and ``Op_-`` applied to the stacked
-``[E + wb/2 X, E + c/2 D]`` of level L, and the traced top slot over level
-L gives every string of size L+1.  Each distinct suffix state is then
-built once per grid point: an order-N sweep costs 2^(N+1) - 8 state
-applications per grid point, against (N-3) 2^(N+1) + 8 for one sweep per
-string (24 against 40 at N=4, 56 against 136 at N=5).  ``Op`` runs on
-batches of stacked states: the system factor is one matmul per state, and
-each bath product is one 2-D matmul over the whole batch.  A batch holds
-at most ``GeneratorEngine.CHUNK`` matrix elements, so a large bath state
-goes through alone.  The sweep costs O(2^N M (d_S^6 d_E^2 + d_S^4 d_E^3))
-time and keeps only the running states in memory.
+* Clusters, K = 2 (the term-expansion path): a MINUS slot is ``A^-
+  {phi_j, Y}/2`` and a PLUS slot ``A^+ [phi_j, Y]/2``, as the bath string
+  is the flipped system string.  Every suffix state is built once per grid
+  point: 2^(N+1) - 8 state applications below level 1 per grid point at
+  order N, against (N-3) 2^(N+1) + 8 for one sweep per string (24 against
+  40 at N=4), in O(2^N M (d_S^6 d_E^2 + d_S^4 d_E^3)) time.
+* Momenta, K = 1 (the matrix-recursion path reads nothing else): mu_n
+  sums the clusters of size n, and the chain is linear in every inner
+  slot, so one branch applies the sum over both signs, left = A^- + eta
+  A^+ and right = A^- - eta A^+, with eta = +1 for the forward kind and
+  eta = -1 for the adjoint kind (the parity of the PLUS slots).  Level L
+  gives mu_{L+1} (free) and its derivative (pinned) in 2N - 3 state
+  applications per grid point (5 at N=4, 13 at N=8) and O(N M (d_S^6
+  d_E^2 + d_S^4 d_E^3)) time.
 
 Gaussian-bath clusters (one evaluation per sign string and kind): the bath
 correlator does not factor into slot states, so the later slots are summed
@@ -282,52 +261,6 @@ def build_system_superops(model, grid):
     return {PLUS: lmul + rmul, MINUS: lmul - rmul}
 
 
-# trie order of a slot sign, and the bath sign that multiplies z phi in
-# that slot's Op (the bath string is the flipped system string)
-_TRIE_SIGNS = (MINUS, PLUS)
-_BATH_SIGN = (1.0, -1.0)
-
-
-def _slot_op(fac_j, half_j, bsign, y, out, work):
-    """``out = Op(j)[y]`` for a stack of joint states; ``half_j = phi_j/2``.
-
-    The system factor multiplies each state by one matmul per state; both
-    bath products are one 2-D matmul over the whole stack, ``phi_j z`` on a
-    transposed copy.  Halving is exact in binary floating point, so folding
-    the 1/2 and the bath sign into phi gives the bits of
-    ``(phi_j z +- z phi_j)/2``.  The products go to ``work``, three flat
-    arrays of at least ``y.size`` elements.
-    """
-    d2, de = fac_j.shape[0], half_j.shape[0]
-    z, zt, zp = (w[:y.size].reshape(-1, de, de) for w in work)
-    np.matmul(fac_j, y.reshape(-1, d2, d2 * de * de),
-              out=z.reshape(-1, d2, d2 * de * de))
-    np.copyto(zt, z.transpose(0, 2, 1))
-    np.matmul(z.reshape(-1, de), bsign * half_j, out=zp.reshape(-1, de))
-    pz = np.matmul(zt.reshape(-1, de), half_j.T, out=z.reshape(-1, de))
-    np.add(pz.reshape(-1, de, de).transpose(0, 2, 1).reshape(out.shape),
-           zp.reshape(out.shape), out=out)
-
-
-def _summed_op(left_j, right_j, half_j, y, out, work):
-    """``out = Op_S(j)[y]`` for a stack of joint states; ``half_j = phi_j/2``.
-
-    ``Op_S(j)[Y] = left_j (phi_j Y)/2 + right_j (Y phi_j)/2`` is the slot
-    operator summed over both signs (module docstring).  ``phi_j Y`` is one
-    2-D matmul on a transposed copy and stays transposed through its system
-    factor; the sum transposes it back.  ``work`` holds three arrays of the
-    shape of ``y``.
-    """
-    s, d2, de = y.shape[0], y.shape[1], y.shape[-1]
-    zt, p, q = work
-    np.copyto(zt, y.swapaxes(-1, -2))
-    np.matmul(zt.reshape(-1, de), half_j.T, out=p.reshape(-1, de))
-    np.matmul(y.reshape(-1, de), half_j, out=q.reshape(-1, de))
-    np.matmul(left_j, p.reshape(s, d2, -1), out=zt.reshape(s, d2, -1))
-    np.matmul(right_j, q.reshape(s, d2, -1), out=p.reshape(s, d2, -1))
-    np.add(zt.swapaxes(-1, -2), p, out=out)
-
-
 def _theta_tilde(m1):
     th = np.zeros((m1, m1))
     idx = np.arange(m1)
@@ -349,10 +282,13 @@ class GeneratorEngine:
     momenta and generator orders are evaluated on the whole grid at once,
     as (M+1, d^2, d^2) stacks; an entry point given a grid index ``i``
     returns that slice of the stack, and ``i=None`` returns the stack.
-    On an exact bath the two generator paths share no arithmetic: the
-    matrix recursion reads the momentum sweep and the term expansion the
-    trie sweep's clusters, so their agreement to round-off checks both.  On
-    a Gaussian bath both read the same cached cluster stacks.
+    On an exact bath the two generator paths share the slot recurrence
+    (``_sweep``): the matrix recursion reads its one-branch momenta and the
+    term expansion its two-branch clusters, so their agreement checks the
+    sign sums and the term algebra, not the recurrence.  The brute tuple
+    sums over ``baths.ordered_correlation`` in the tests are the
+    independent check.  On a Gaussian bath both paths read the same cached
+    cluster stacks.
     """
 
     def __init__(self, model, quad):
@@ -384,8 +320,6 @@ class GeneratorEngine:
         self._gen = {}         # (n, kind, path) -> stack
         self.d2 = model.d_S ** 2
 
-    # the sweep applies Op to batches of at most this many matrix elements
-    CHUNK = 1 << 14
     # a Gaussian cluster of m slots costs O(M^m): larger ones are refused
     GAUSSIAN_MAX_SLOTS = 4
 
@@ -460,159 +394,152 @@ class GeneratorEngine:
         free += self.c[:, None, None] * d
         return free, p
 
+    def _sweep(self, kind, left, right):
+        """(free, pinned) stacks of every exact-bath chain of K branches.
+
+        ``left`` and ``right`` are (K, M+1, d^2, d^2) factor stacks: branch
+        k applies ``Op_k(j)[Y] = left_k(t_j) (phi_j Y)/2 + right_k(t_j)
+        (Y phi_j)/2`` in every inner slot, and the outer slot is the MINUS
+        factor of ``self.factors[kind]``.  Returns (S, M+1, d^2, d^2)
+        stacks, S = 1 + K + ... + K^(N-1), of every level's chains in turn;
+        within level L the slot-1 branch of chain ``idx`` is ``idx % K``.
+        See the module docstring for the recurrence.
+        """
+        lead = self.factors[kind][MINUS]
+        m1, d2 = self.grid.M + 1, self.d2
+        phi, rho = self.ctab.phi_tab, self.ctab.bath.rho_E
+        # outer-slot terms X, D, P of every level: traced top on
+        # [E + wb/2 X, E + c/2 D, E + c D], summed after tracing
+        traces = self._level_traces(left, right)
+        counts = [tr.shape[2] for tr in traces]
+        terms = np.empty((3, 1 + sum(counts), m1, d2, d2), dtype=complex)
+        terms[:, 0] = np.einsum("jab,ba->j", phi, rho)[:, None, None] * lead
+        lo = 1
+        for n in counts:
+            # each level's traces are dropped once used
+            e, x, d = traces.pop(0).transpose(1, 2, 0, 3, 4)
+            for out, w, y in ((terms[0], 0.5 * self.wb, x),
+                              (terms[1], 0.5 * self.c, d),
+                              (terms[2], self.c, d)):
+                np.matmul(lead, e + w[:, None, None] * y, out=out[lo:lo + n])
+            lo += n
+        return self._outer_sum(*terms)
+
+    def _level_traces(self, left, right):
+        """``Tr_E[phi_j Y]`` of the [E, X, D] states of sweep levels 1..N-1.
+
+        One (M+1, 3, K^L, d^2, d^2) array per level L; state ``i`` of level
+        L branches into states ``i K + k`` of level L+1.  The buffers live
+        for this call, their views are made before the grid loop, and each
+        work view starts at the front of one flat buffer (a reshaped slice
+        of a stacked buffer could be a copy, losing an ``out=``).
+        """
+        nb = len(left)
+        m1, d2, top = self.grid.M + 1, self.d2, self.quad.max_order
+        phi, rho = self.ctab.phi_tab, self.ctab.bath.rho_E
+        de = rho.shape[0]
+        shape = (d2, d2, de, de)
+        size = d2 * d2 * de * de
+        # per grid point: both factors of every branch as one (K d^2 d^2, 2)
+        # matrix for level 1, and each side alone for the deeper levels
+        both = np.ascontiguousarray(
+            np.stack((left, right), -1).swapaxes(0, 1))
+        left, right = (np.ascontiguousarray(f.swapaxes(0, 1))
+                       for f in (left, right))
+        halves = 0.5 * np.stack((self.wb, self.c), -1)
+        counts = [nb ** lv for lv in range(1, top)]
+        states = [np.zeros((3, n) + shape, dtype=complex) for n in counts]
+        traces = [np.empty((m1, 3, n, d2, d2), dtype=complex)
+                  for n in counts]
+        work = np.empty(8 * nb ** max(top - 2, 0) * size, dtype=complex)
+        pair = np.empty((2, de, de), dtype=complex)
+        levels = []
+        for lv, (st, tr) in enumerate(zip(states, traces)):
+            n = counts[lv]
+            step = None
+            if lv + 2 < top:
+                # Op_k on y = [E + wb/2 X, E + c/2 D]: y, its bath
+                # transpose, p = (phi y/2)^T and q = y phi/2 take 8n states;
+                # the left products reuse the front, the right ones go to
+                # the next level's X and D, and the two sum there
+                y, yt, p, q = (work[k * 2 * n * size:(k + 1) * 2 * n * size]
+                               for k in range(4))
+                lp = work[:2 * n * nb * size]
+                nxt = states[lv + 1][1:]
+                step = (y.reshape((2, n) + shape), y.reshape(-1, de),
+                        yt.reshape((2, n) + shape), yt.reshape(-1, de),
+                        p.reshape(-1, de), q.reshape(-1, de),
+                        p.reshape(2, n, 1, d2, -1), q.reshape(2, n, 1, d2, -1),
+                        lp.reshape(2, n, nb, d2, -1),
+                        lp.reshape((2, n, nb) + shape).swapaxes(-1, -2),
+                        nxt.reshape(2, n, nb, d2, -1),
+                        nxt.reshape((2, n, nb) + shape))
+            levels.append((st, st[1:], st.reshape(-1, de * de),
+                           tr.reshape(m1, -1),
+                           work[:n * size].reshape((n,) + shape), step))
+        for j in range(m1 if top > 1 else 0):
+            half = 0.5 * phi[j]
+            phi_t = phi[j].T.reshape(-1)
+            # level 1: X = D = Op_k(j)[rho_E], two outer products per branch
+            np.matmul(half, rho, out=pair[0])
+            np.matmul(rho, half, out=pair[1])
+            np.matmul(both[j].reshape(-1, 2), pair.reshape(2, -1),
+                      out=states[0][1].reshape(-1, de * de))
+            states[0][2] = states[0][1]
+            for st, xd, rows, tr, tmp, step in levels:
+                np.matmul(rows, phi_t, out=tr[j])
+                if step is not None:
+                    y, y2, yt, yt2, p2, q2, ps, qs, lp, lpt, xs, nxt = step
+                    np.multiply(halves[j, :, None, None, None, None, None],
+                                xd, out=y)
+                    y += st[0]
+                    np.copyto(yt, y.swapaxes(-1, -2))
+                    np.matmul(yt2, half.T, out=p2)
+                    np.matmul(y2, half, out=q2)
+                    np.matmul(left[j], ps, out=lp)
+                    np.matmul(right[j], qs, out=xs)
+                    np.add(lpt, nxt, out=nxt)
+                st[0] += np.multiply(self.wb[j], st[1], out=tmp)
+        return traces
+
     def _kind_sweep(self, kind):
-        """Every admissible exact-bath chain of one kind.
+        """Every admissible exact-bath chain of one kind, from one sweep.
 
         Returns ``{signs: (free, pinned)}`` with (M+1, d^2, d^2) stacks for
         each forward sign string of size 1..max_order, in the system factors
-        ``self.factors[kind]``.  The slot states are indexed by the suffix
-        of the string they depend on: level L of the trie holds the X, D
-        and running E states of all 2^L suffixes, and the leading sign of a
-        suffix is bit 0 of its index.  The outer-slot terms of a level are
-        one (3, 2^L, M+1, d^2, d^2) array, summed by one ``_outer_sum``.
-        See the module docstring for the recurrence.
+        ``self.factors[kind]``: ``_sweep`` with a MINUS and a PLUS branch,
+        so a slot's sign is its branch.
         """
         tab = self.factors[kind]
-        m1, d2, top = self.grid.M + 1, self.d2, self.quad.max_order
-        phi = self.ctab.phi_tab
-        rho = self.ctab.bath.rho_E
-        de = rho.shape[0]
-        shape = (d2, d2, de, de)
-        fac = np.stack([tab[s] for s in _TRIE_SIGNS])
-        bsign = np.array(_BATH_SIGN)[:, None, None]
-        lead = fac[0]  # the outer slot of an admissible string is MINUS
-        per = max(1, self.CHUNK // (2 * d2 * d2 * de * de))
-        outer = [np.zeros((3, 2 ** lv, m1, d2, d2), dtype=complex)
-                 for lv in range(top)]
-        run = [None] + [np.zeros((2 ** lv,) + shape, dtype=complex)
-                        for lv in range(1, top)]
-        base = (np.eye(d2)[:, :, None, None] * rho)[None]
-        # work space allocated once: state-sized temporaries made afresh at
-        # every grid point would go back to the system and fault in again
-        batch = min(2 ** (top - 1), per) * d2 * d2 * de * de
-        space = np.empty(3 * batch, dtype=complex)
-        work = np.empty((3, 2 * batch), dtype=complex)
-        first = np.empty((min(2, per),) + shape, dtype=complex)
-        nxts = [None] + [np.empty((2, 2 ** lv, 2) + shape, dtype=complex)
-                         for lv in range(1, top - 1)]
-
-        def traced_top(j, phi_t, y):
-            # Tr_E Op_0(j)[y] for a stack of states; the outer bath sign is
-            # PLUS, so the bath factor traces to Tr_E[phi_j y]
-            tr = y.reshape(-1, de * de) @ phi_t
-            return np.matmul(lead[j], tr.reshape(y.shape[:-4] + (d2, d2)))
-
-        for j in range(m1):
-            wbar, corner = self.wb[j], self.c[j]
-            phi_t = phi[j].T.reshape(-1)
-            outer[0][:, :, j] = traced_top(j, phi_t, base)
-            if top > 1:
-                inner = 0.5 * (phi[j] @ rho + bsign * (rho @ phi[j]))
-            states = None
-            for lv in range(1, top):
-                n = 2 ** lv
-                # next level's X and D; its new leading sign is bit 0
-                nxt = nxts[lv] if lv + 1 < top else None
-                for lo in range(0, n, per):
-                    hi = min(n, lo + per)
-                    part = slice(lo, hi)
-                    if lv == 1:
-                        x = d = np.multiply(fac[part, j][:, :, :, None, None],
-                                            inner[part, None, None],
-                                            out=first[:hi - lo])
-                    else:
-                        x, d = states[0, part], states[1, part]
-                    e = run[lv][part]
-                    # [E + wb/2 X, E + c/2 D, E + c D], each summed in
-                    # place: the bits of E + w Y without a temporary
-                    buf = space[:3 * e.size].reshape((3,) + e.shape)
-                    for b, (w, y) in enumerate(((0.5 * wbar, x),
-                                                (0.5 * corner, d),
-                                                (corner, d))):
-                        np.multiply(w, y, out=buf[b])
-                        buf[b] += e
-                    outer[lv][:, part, j] = traced_top(j, phi_t, buf)
-                    if nxt is not None:
-                        for s in range(2):
-                            _slot_op(fac[s][j], 0.5 * phi[j], _BATH_SIGN[s],
-                                     buf[:2], nxt[:, part, s], work)
-                    # buf is spent: it holds wb X for the running sum
-                    e += np.multiply(wbar, x, out=buf[0])
-                if nxt is not None:
-                    states = nxt.reshape((2, 2 * n) + shape)
-        out = {}
-        for lv in range(top):
-            free, pinned = self._outer_sum(*outer[lv])
-            # a copy, so that the cached pinned stacks keep no X or D alive
-            pinned = pinned.copy()
-            for idx in range(2 ** lv):
-                signs = MINUS + "".join(_TRIE_SIGNS[(idx >> b) & 1]
-                                        for b in range(lv))
-                out[signs] = free[idx], pinned[idx]
+        free, pinned = self._sweep(kind, np.stack((tab[MINUS], tab[PLUS])),
+                                   np.stack((tab[MINUS], -tab[PLUS])))
+        # a copy, so that the cached pinned stacks keep no X or D alive
+        pinned = pinned.copy()
+        out, idx = {}, 0
+        for lv in range(self.quad.max_order):
+            # slot 1 is the fastest-varying branch
+            for tail in itertools.product((MINUS, PLUS), repeat=lv):
+                out[MINUS + "".join(tail[::-1])] = free[idx], pinned[idx]
+                idx += 1
         return out
 
     def _momentum_sweep(self, kind):
-        """Cache every exact-bath momentum of one kind from one chain sweep.
+        """Cache every exact-bath momentum of one kind from one sweep.
 
-        Fills ``self._mu`` under ``(n, kind, dotted)`` for n = 1..max_order.
-        Level L keeps one X, D and E state: the sums over the signs of the
-        L inner slots, with the parity eta of each PLUS slot for the adjoint
-        kind.  Their traces at every grid point are kept, and the traced top
-        over level L gives mu_{L+1} and its derivative through
-        ``_outer_sum``.  See the module docstring for the recurrence.
+        Fills ``self._mu`` under ``(n, kind, dotted)`` for n = 1..max_order
+        from ``_sweep`` with one branch, the slot operator summed over both
+        signs with the parity eta of a PLUS slot for the adjoint kind: its
+        level n-1 gives mu_n (free) and its derivative (pinned).
         """
         if kind == ADJOINT and not self.model.bath.is_stationary():
             raise ValueError("adjoint evaluation requires a stationary bath")
         tab = self.factors[kind]
         eta = -1.0 if kind == ADJOINT else 1.0
-        lead = tab[MINUS]  # the outer slot of a momentum is MINUS
-        left, right = lead + eta * tab[PLUS], lead - eta * tab[PLUS]
-        factors = np.stack((left, right), -1)
-        halves = 0.5 * np.stack((self.wb, self.c), -1)
-        m1, d2, top = self.grid.M + 1, self.d2, self.quad.max_order
-        phi = self.ctab.phi_tab
-        rho = self.ctab.bath.rho_E
-        de = rho.shape[0]
-        # all buffers are made once: [E, X, D] per level, the traces of
-        # those at every grid point, and the slot operator's work space
-        states = np.zeros((top - 1, 3, d2, d2, de, de), dtype=complex)
-        traces = np.empty((top - 1, m1, 3, d2, d2), dtype=complex)
-        buf = np.empty((2, d2, d2, de, de), dtype=complex)
-        work = np.empty((3,) + buf.shape, dtype=complex)
-        pair = np.empty((2, de, de), dtype=complex)
-        for j in range(m1 if top > 1 else 0):
-            half = 0.5 * phi[j]
-            phi_t = phi[j].T.reshape(-1)
-            # level 1: X = D = Op_S(j)[rho_E], two outer products
-            np.matmul(half, rho, out=pair[0])
-            np.matmul(rho, half, out=pair[1])
-            np.matmul(factors[j].reshape(-1, 2), pair.reshape(2, -1),
-                      out=states[0, 1].reshape(d2 * d2, -1))
-            states[0, 2] = states[0, 1]
-            for lv, st in enumerate(states):
-                np.matmul(st.reshape(-1, de * de), phi_t,
-                          out=traces[lv, j].reshape(-1))
-                if lv + 2 < top:
-                    # [E + wb/2 X, E + c/2 D] into the next level's X, D
-                    np.multiply(halves[j, :, None, None, None, None], st[1:],
-                                out=buf)
-                    buf += st[0]
-                    _summed_op(left[j], right[j], half, buf,
-                               states[lv + 1, 1:], work)
-                st[0] += np.multiply(self.wb[j], st[1], out=work[0, 0])
-        # outer-slot terms X, D, P of every level: traced top on
-        # [E + wb/2 X, E + c/2 D, E + c D], summed after tracing
-        tr0 = np.einsum("jab,ba->j", phi, rho)[:, None, None]
-        terms = np.empty((3, top, m1, d2, d2), dtype=complex)
-        terms[:, 0] = tr0 * lead
-        e, x, d = (traces[:, :, k] for k in range(3))
-        for out, w, y in ((terms[0], 0.5 * self.wb, x),
-                          (terms[1], 0.5 * self.c, d),
-                          (terms[2], self.c, d)):
-            np.matmul(lead, e + w[:, None, None] * y, out=out[1:])
-        free, pinned = self._outer_sum(*terms)
-        for n in range(1, top + 1):
-            for dotted, val in ((False, free[n - 1]), (True, pinned[n - 1])):
+        lead = tab[MINUS]
+        stacks = self._sweep(kind, (lead + eta * tab[PLUS])[None],
+                             (lead - eta * tab[PLUS])[None])
+        for dotted, stack in zip((False, True), stacks):
+            for n, val in enumerate(stack, 1):
                 if kind == ADJOINT:
                     val = val.transpose(0, 2, 1)
                 # a copy, so that no cached stack keeps the others alive

@@ -361,6 +361,25 @@ class TestSampleConfigs:
                                for f in (tmp_path / name).iterdir()))
         assert len(outs[0]) == 2 and outs[0] == outs[1]
 
+    def test_terms_path_is_reproducible_and_matches_matrix(self, config_path,
+                                                           tmp_path):
+        # the term expansion through the CLI, on the order-6 sample
+        cfg = json.loads((CONFIGS[0].parent / "spinboson_tcl6.json"
+                          ).read_text())
+        tables = {}
+        for path, runs in (("matrix", ("m",)), ("terms", ("t1", "t2"))):
+            cfg["path"] = path
+            src = config_path(cfg, f"{path}.json")
+            for name in runs:
+                assert main(["evaluate", "--config", src,
+                             "--out", str(tmp_path / name)]) == 0
+                tables[name] = (tmp_path / name / "generator.csv").read_bytes()
+        assert tables["t1"] == tables["t2"]
+        want, got = (np.loadtxt(tmp_path / name / "generator.csv",
+                                delimiter=",", skiprows=1)[:, 3:]
+                     for name in ("m", "t1"))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
 
 class TestErrorPaths:
     def test_unknown_key_is_config_error(self, config_path, tmp_path):
@@ -418,6 +437,37 @@ class TestErrorPaths:
         assert main(["propagate", "--config", config_path(cfg),
                      "--out", str(tmp_path / "x")]) == 2
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "g", "0.05"), ("model", "g", True), ("model", "g", None),
+        pytest.param("model", "g", 10 ** 400, id="model-g-huge-int"),
+        ("grid", "T", "1.0"), ("grid", "T", True),
+        ("bath", "omega", "abc"), ("bath", "omega", True),
+        ("bath", "shift", "0.5"), ("bath", "shift", False),
+        ("bath", "beta", True), ("bath", "beta", "1.0"),
+        (None, "couplings", ["0.05", 0.1]), (None, "couplings", [0.05, True]),
+    ])
+    def test_mistyped_real_value_is_config_error(self, config_path, tmp_path,
+                                                 section, key, value):
+        # strings and booleans used to pass through float(); true ran as 1
+        cfg = dephasing_config(grid={"T": 1.0, "M": 20})
+        cfg["bath"] = {"type": "boson-mode", "omega": 1.0, "n_max": 2,
+                       "beta": 1.0, "shift": 0.5}
+        (cfg if section is None else cfg[section])[key] = value
+        assert main(["compare", "--config", config_path(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
+
+    def test_integer_real_values_and_null_beta_are_accepted(self, config_path,
+                                                           tmp_path):
+        cfg = dephasing_config(grid={"T": 1, "M": 20})
+        cfg["model"]["g"] = 0
+        cfg["bath"] = {"type": "boson-mode", "omega": 1, "n_max": 2,
+                       "beta": None, "shift": 1}
+        assert main(["evaluate", "--config", config_path(cfg),
+                     "--out", str(tmp_path / "x")]) == 0
+        summary = json.loads((tmp_path / "x" / "summary.json").read_text())
+        assert summary["grid"] == {"T": 1.0, "M": 20}
 
     @pytest.mark.parametrize("t_max,T", [(1.5, 2.0), (3.06, 9.0)])
     def test_two_point_csv_must_cover_the_grid(self, config_path, tmp_path,

@@ -535,41 +535,6 @@ class TestSuffixTrieSweep:
                             assert np.isfinite(val).all()
         assert calls == [SCHRODINGER, ADJOINT]
 
-    @pytest.mark.parametrize("kind", [SCHRODINGER, ADJOINT])
-    def test_one_state_per_call_is_bit_identical(self, monkeypatch, kind):
-        from tclgen.superops import GeneratorEngine
-        model = ModelSpec(rand_herm(2), rand_herm(2), 0.3,
-                          boson_mode_bath(1.0, 4, shift=0.5))
-        grid = Grid(1.0, 10)
-        # at the default budget all 8 deepest suffixes share one call
-        assert GeneratorEngine.CHUNK // (2 * 4 * 4 * 5 * 5) >= 8
-        want = engine_for(model, QuadratureConfig(grid, max_order=4)
-                          )._kind_sweep(kind)
-        monkeypatch.setattr(GeneratorEngine, "CHUNK", 1)
-        got = engine_for(model, QuadratureConfig(grid, max_order=4)
-                         )._kind_sweep(kind)
-        assert want.keys() == got.keys() and len(want) == 15
-        for signs, pair in want.items():
-            for a, b in zip(pair, got[signs]):
-                assert a.tobytes() == b.tobytes(), signs
-
-    @pytest.mark.parametrize("kind", [SCHRODINGER, ADJOINT])
-    def test_uneven_batches_are_bit_identical(self, monkeypatch, kind):
-        # three states per call: the deeper levels end on a shorter batch,
-        # which reuses the front of the sweep's work space
-        from tclgen.superops import GeneratorEngine
-        model = ModelSpec(rand_herm(2), rand_herm(2), 0.3,
-                          boson_mode_bath(1.0, 4, shift=0.5))
-        grid = Grid(1.0, 10)
-        want = engine_for(model, QuadratureConfig(grid, max_order=4)
-                          )._kind_sweep(kind)
-        monkeypatch.setattr(GeneratorEngine, "CHUNK", 3 * 2 * 4 * 4 * 5 * 5)
-        got = engine_for(model, QuadratureConfig(grid, max_order=4)
-                         )._kind_sweep(kind)
-        for signs, terms in want.items():
-            for a, b in zip(terms, got[signs]):
-                assert a.tobytes() == b.tobytes(), signs
-
     def test_cluster_above_max_order_is_refused(self):
         eng = engine_for(rand_model(),
                          QuadratureConfig(Grid(0.6, 8), max_order=2))
@@ -609,6 +574,24 @@ class TestMomentumSweep:
                     np.testing.assert_allclose(
                         got, want, rtol=0, atol=1e-13 * np.abs(want).max(),
                         err_msg=f"{kind} n={n} dotted={dotted}")
+
+    @pytest.mark.parametrize("kind", [SCHRODINGER, ADJOINT])
+    def test_momenta_match_brute_tuple_sums(self, kind):
+        # independent of the chain recurrence that the sweep shares with
+        # the cluster path: plain sums over ordered_correlation
+        brute = TestClusterQuadratureOracle.brute_cluster
+        model = rand_model(g=0.5, gen=np.random.default_rng(13))
+        eng = engine_for(model, QuadratureConfig(Grid(0.6, 8), max_order=4))
+        for n in range(1, 5):
+            for dotted in (False, True):
+                for i in (3, 8):
+                    want = sum(brute(eng, signs, dotted, i, kind)
+                               for signs in admissible_signs(n, kind))
+                    got = eng.mu(n, i, kind, dotted)
+                    assert np.abs(want).max() > 1e-6
+                    np.testing.assert_allclose(
+                        got, want, rtol=0, atol=1e-13 * np.abs(want).max(),
+                        err_msg=f"n={n} dotted={dotted} at {i}")
 
     def test_generator_table_reads_only_the_sweep(self, monkeypatch):
         # no cluster, trie sweep or momentum term list on the matrix path
@@ -872,3 +855,4 @@ class TestVanKampenEvaluation:
         assert gaps[20] > 0.05              # genuinely missing terms
         assert fixed[10] < 0.02
         assert 2.5 < fixed[10] / fixed[20] < 6.0   # second-order convergence
+        assert fixed[10] / fixed[20] > 3.5   # the rate is close to 4
