@@ -51,13 +51,16 @@ def _integer(section, value):
 
 
 def _number(section, value):
-    """A real config value; strings, booleans and null are rejected."""
+    """A finite real config value; no string, bool, null, NaN or Infinity."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{section} must be a number, got {value!r}")
     try:
-        return float(value)
+        value = float(value)
     except OverflowError:
         raise ConfigError(f"{section} is too large for a float") from None
+    if not np.isfinite(value):
+        raise ConfigError(f"{section} must be finite, got {value!r}")
+    return value
 
 
 def _boolean(section, value):
@@ -67,10 +70,14 @@ def _boolean(section, value):
 
 
 def _parse_matrix(section, raw, dim=None):
-    """Row-major matrix of [re, im] pairs."""
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
+    """Row-major square matrix of [re, im] pairs of finite numbers."""
+    if not (isinstance(raw, list) and raw and all(
+            isinstance(row, list) and len(row) == len(raw)
+            and all(isinstance(z, list) and len(z) == 2 for z in row)
+            for row in raw)):
         raise ConfigError(f"{section} must be a square matrix of [re, im] pairs")
+    arr = np.array([[[_number(section, x) for x in z] for z in row]
+                    for row in raw])
     if dim is not None and arr.shape[0] != dim:
         raise ConfigError(f"{section} must have dimension {dim}")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -81,9 +88,9 @@ def _parse_bath(cfg, T):
         "H_E", "phi", "rho_E", "omega", "beta", "n_max", "shift",
         "two_point", "two_point_csv"))
     kind = cfg["type"]
-    # a null beta is the vacuum
+    # a null or +Infinity beta is the vacuum
     beta = cfg.get("beta")
-    if beta is not None:
+    if beta is not None and beta != np.inf:
         beta = _number("bath.beta", beta)
     if kind == "exact":
         _require_keys("bath(exact)", cfg, ("type", "H_E", "phi", "rho_E"))

@@ -22,18 +22,20 @@ D with its endpoint weight, and P is the pinned variant.  With
 ``wb(0) = h/2, wb(j>0) = h`` and ``c(0) = 0, c(j>0) = h/2``, one sum shared
 by both backends gives the free cluster at t_i,
 ``sum_{j0 < i} wb(j0) X(j0) + c(i) D(i)``, and the pinned one is P(i); a
-backend returns these (free, pinned) stacks.  An adjoint-kind cluster (last
-slot of every cluster MINUS) is the transpose dual of the forward chain of
-its reversed sign string, run in the transposed system factors: transposed
-back and times (-1)^(number of PLUS slots), its pinned, latest time acts
-first on the observable and its bath factor is a standard correlator, which
-makes state/observable duality hold numerically order by order.  The dual
-needs a stationary bath state, so an adjoint cluster on a non-stationary
-exact bath is refused.
+backend returns these (free, pinned) stacks.
 
-Exact-bath chains (one ``_sweep`` per kind and branch set): a chain of m
-slots is carried from the inside out as running joint system x bath
-states of shape (d^2, d^2, d_E, d_E).  An inner slot at t_j applies the
+Only forward chains are evaluated.  ``dual(S)[(a, b), (c, e)] = S[(e, c),
+(b, a)]``, the Hilbert-Schmidt dual in this vec convention, swaps left and
+right multiplication and reverses products.  An adjoint-kind cluster of m
+slots (last slot MINUS) is ``(-1)^m dual`` of the forward cluster of its
+reversed sign string, pinned or free, and the adjoint momenta (and their
+derivatives) are ``(-1)^n dual(mu_n)``: state/observable duality, order by
+order.  L_n is not mapped, as the dual reverses products.  The dual needs a
+stationary bath: a drifting exact one is refused before any sweep.
+
+Exact-bath chains (one ``_sweep`` per branch set): a chain of m slots is
+carried from the inside out as running joint system x bath states of
+shape (d^2, d^2, d_E, d_E).  An inner slot at t_j applies the
 operator of its branch k, ``Op_k(j)[Y] = left_k(t_j) (phi_j Y)/2 +
 right_k(t_j) (Y phi_j)/2``::
 
@@ -48,10 +50,11 @@ are ``Tr_E X_0``, ``Tr_E D_0`` and ``Tr_E Op_0(j)[E_1(j) + c(j) D_1(j)]``,
 traced before the weighted sums, and the outer-slot sum then gives the
 same iterated trapezoid with tie and edge weights, to round-off.  A
 nonzero cluster has a PLUS outer bath sign, so slot 0 is only needed
-traced and costs no d_E^3 work.  The states of slot k = m-1-L do not depend on m: level L
-of a sweep holds them for all K^L branch strings, and its traced top gives
-every chain of size L+1.  Level 1 is two outer products per branch, and
-each deeper level applies every ``Op_k`` to ``[E + wb/2 X, E + c/2 D]``.
+traced and costs no d_E^3 work.  The states of slot k = m-1-L do not
+depend on m: level L of a sweep holds them for all K^L branch strings, and
+its traced top gives every chain of size L+1.  Level 1 is two outer
+products per branch, and each deeper level applies every ``Op_k`` to
+``[E + wb/2 X, E + c/2 D]``.
 
 * Clusters, K = 2 (the term-expansion path): a MINUS slot is ``A^-
   {phi_j, Y}/2`` and a PLUS slot ``A^+ [phi_j, Y]/2``, as the bath string
@@ -61,14 +64,12 @@ each deeper level applies every ``Op_k`` to ``[E + wb/2 X, E + c/2 D]``.
   40 at N=4), in O(2^N M (d_S^6 d_E^2 + d_S^4 d_E^3)) time.
 * Momenta, K = 1 (the matrix-recursion path reads nothing else): mu_n
   sums the clusters of size n, and the chain is linear in every inner
-  slot, so one branch applies the sum over both signs, left = A^- + eta
-  A^+ and right = A^- - eta A^+, with eta = +1 for the forward kind and
-  eta = -1 for the adjoint kind (the parity of the PLUS slots).  Level L
-  gives mu_{L+1} (free) and its derivative (pinned) in 2N - 3 state
-  applications per grid point (5 at N=4, 13 at N=8) and O(N M (d_S^6
-  d_E^2 + d_S^4 d_E^3)) time.
+  slot, so one branch applies the sum over both signs, left = A^- + A^+
+  and right = A^- - A^+.  Level L gives mu_{L+1} (free) and its
+  derivative (pinned) in 2N - 3 state applications per grid point (5 at
+  N=4, 13 at N=8) and O(N M (d_S^6 d_E^2 + d_S^4 d_E^3)) time.
 
-Gaussian-bath clusters (one evaluation per sign string and kind): the bath
+Gaussian-bath clusters (one evaluation per forward sign string): the bath
 correlator does not factor into slot states, so the later slots are summed
 per outer index j0 with one weight rule.  A later slot at grid point b,
 following its neighbour at a, has the weight ``w(b) theta[a, b]``, where
@@ -282,17 +283,19 @@ class GeneratorEngine:
     momenta and generator orders are evaluated on the whole grid at once,
     as (M+1, d^2, d^2) stacks; an entry point given a grid index ``i``
     returns that slice of the stack, and ``i=None`` returns the stack.
-    On an exact bath the two generator paths share the slot recurrence
-    (``_sweep``): the matrix recursion reads its one-branch momenta and the
-    term expansion its two-branch clusters, so their agreement checks the
-    sign sums and the term algebra, not the recurrence.  The brute tuple
-    sums over ``baths.ordered_correlation`` in the tests are the
-    independent check.  On a Gaussian bath both paths read the same cached
-    cluster stacks.
+    Chains are evaluated forward only; ``_dual`` maps them to the adjoint
+    kind.  On an exact bath the two generator paths share the slot
+    recurrence (``_sweep``): the matrix recursion reads its one-branch
+    momenta and the term expansion its two-branch clusters, so their
+    agreement checks the sign sums and the term algebra.  The tests' brute
+    tuple sums over ``baths.ordered_correlation`` of each kind check the
+    recurrence and the dual.  On a Gaussian bath both paths read the same
+    cached cluster stacks.
     """
 
     def __init__(self, model, quad):
         self._exact = isinstance(model.bath, ExactBath)
+        self._stationary = not self._exact or model.bath.is_stationary()
         if not self._exact and quad.max_order > self.GAUSSIAN_MAX_SLOTS:
             raise ValueError(f"a Gaussian bath serves clusters of at most "
                              f"{self.GAUSSIAN_MAX_SLOTS} slots, not "
@@ -301,11 +304,6 @@ class GeneratorEngine:
         self.quad = quad
         self.grid = quad.grid
         self.a_tab = build_system_superops(model, self.grid)
-        # system factors of the forward chains of each kind: an adjoint
-        # cluster is a forward chain in the transposed factors
-        self.factors = {SCHRODINGER: self.a_tab,
-                        ADJOINT: {s: tab.transpose(0, 2, 1)
-                                  for s, tab in self.a_tab.items()}}
         self.ctab = correlator_table(scaled_bath(model.bath, model.g),
                                      self.grid.times)
         m1, h = self.grid.M + 1, self.grid.h
@@ -343,42 +341,44 @@ class GeneratorEngine:
     def cluster_value(self, signs, pinned, i, kind):
         """Ordered quadrature of one cluster at t_i as a (d^2, d^2) matrix.
 
-        ``i=None`` gives the (M+1, d^2, d^2) stack over every endpoint.  The
-        first query evaluates the cluster at every endpoint at once: one
-        sweep per kind serves every exact-bath cluster, and a Gaussian-bath
-        cluster is one evaluation per sign string and kind.  Both backends
-        return forward (free, pinned) stacks from the one outer-slot sum;
-        the adjoint mapping is done here (see the module docstring).
+        ``i=None`` gives the (M+1, d^2, d^2) stack over every endpoint, all
+        evaluated by the first query.  Forward clusters come from one sweep
+        (exact bath) or one evaluation each (Gaussian bath); an adjoint
+        cluster is the ``_dual`` of the forward one of its reversed signs.
         """
         self._check_index(i)
         if not 1 <= len(signs) <= self.quad.max_order:
             raise ValueError(f"cluster size {len(signs)} outside "
                              f"1..{self.quad.max_order}")
         key = (signs, kind)
-        stacks = self._clusters.get(key)
-        if stacks is None:
-            adjoint = kind == ADJOINT
-            if (adjoint and self._exact
-                    and not self.model.bath.is_stationary()):
-                raise ValueError("adjoint evaluation requires a stationary "
-                                 "bath")
-            forward = signs[::-1] if adjoint else signs
-            if forward[0] != MINUS:
+        if key not in self._clusters:
+            if kind == ADJOINT:
+                self._clusters[key] = tuple(self._dual(lambda: np.stack([
+                    self.cluster_value(signs[::-1], p, None, SCHRODINGER)
+                    for p in (False, True)]), len(signs)))
+            elif signs[0] != MINUS:
                 # inadmissible: a leading MINUS bath sign traces to zero
                 return self._at(np.zeros((self.grid.M + 1, self.d2, self.d2),
                                          dtype=complex), i)
-            if self._exact:
-                found = self._kind_sweep(kind).items()
+            elif self._exact:
+                self._kind_sweep()
             else:
-                found = [(forward, self._gaussian_cluster(forward, kind))]
-            for chain, pair in found:
-                if adjoint:
-                    eta = (-1) ** chain.count(PLUS)
-                    pair = tuple(eta * v.transpose(0, 2, 1) for v in pair)
-                    chain = chain[::-1]
-                self._clusters[chain, kind] = tuple(map(_frozen, pair))
-            stacks = self._clusters[key]
-        return self._at(stacks[pinned], i)
+                self._clusters[key] = tuple(map(_frozen,
+                                                self._gaussian_cluster(signs)))
+        return self._at(self._clusters[key][pinned], i)
+
+    def _dual(self, forward, n):
+        """The adjoint-kind stack ``(-1)^n dual(forward())`` of order n.
+
+        ``dual`` (module docstring) maps the last two axes.  ``forward()``
+        runs only on a stationary bath: a drifting one is refused first.
+        """
+        if not self._stationary:
+            raise ValueError("adjoint evaluation requires a stationary bath")
+        stack = forward()
+        dual = stack.reshape(stack.shape[:-2] + (self.model.d_S,) * 4)
+        dual = (-1) ** n * dual.swapaxes(-4, -1).swapaxes(-3, -2)
+        return _frozen(dual.reshape(stack.shape))
 
     def _outer_sum(self, x, d, p):
         """``(free, pinned)`` stacks from the outer-slot terms X, D and P.
@@ -394,18 +394,18 @@ class GeneratorEngine:
         free += self.c[:, None, None] * d
         return free, p
 
-    def _sweep(self, kind, left, right):
+    def _sweep(self, left, right):
         """(free, pinned) stacks of every exact-bath chain of K branches.
 
         ``left`` and ``right`` are (K, M+1, d^2, d^2) factor stacks: branch
         k applies ``Op_k(j)[Y] = left_k(t_j) (phi_j Y)/2 + right_k(t_j)
         (Y phi_j)/2`` in every inner slot, and the outer slot is the MINUS
-        factor of ``self.factors[kind]``.  Returns (S, M+1, d^2, d^2)
-        stacks, S = 1 + K + ... + K^(N-1), of every level's chains in turn;
-        within level L the slot-1 branch of chain ``idx`` is ``idx % K``.
-        See the module docstring for the recurrence.
+        factor A^-.  Returns (S, M+1, d^2, d^2) stacks, S = 1 + K + ... +
+        K^(N-1), of every level's chains in turn; within level L the slot-1
+        branch of chain ``idx`` is ``idx % K``.  See the module docstring
+        for the recurrence.
         """
-        lead = self.factors[kind][MINUS]
+        lead = self.a_tab[MINUS]
         m1, d2 = self.grid.M + 1, self.d2
         phi, rho = self.ctab.phi_tab, self.ctab.bath.rho_E
         # outer-slot terms X, D, P of every level: traced top on
@@ -502,64 +502,54 @@ class GeneratorEngine:
                 st[0] += np.multiply(self.wb[j], st[1], out=tmp)
         return traces
 
-    def _kind_sweep(self, kind):
-        """Every admissible exact-bath chain of one kind, from one sweep.
+    def _kind_sweep(self):
+        """Cache every admissible forward exact-bath cluster from one sweep.
 
-        Returns ``{signs: (free, pinned)}`` with (M+1, d^2, d^2) stacks for
-        each forward sign string of size 1..max_order, in the system factors
-        ``self.factors[kind]``: ``_sweep`` with a MINUS and a PLUS branch,
-        so a slot's sign is its branch.
+        Fills ``self._clusters`` under ``(signs, SCHRODINGER)`` for each
+        forward sign string of size 1..max_order from ``_sweep`` with a
+        MINUS and a PLUS branch, so a slot's sign is its branch.
         """
-        tab = self.factors[kind]
-        free, pinned = self._sweep(kind, np.stack((tab[MINUS], tab[PLUS])),
+        tab = self.a_tab
+        free, pinned = self._sweep(np.stack((tab[MINUS], tab[PLUS])),
                                    np.stack((tab[MINUS], -tab[PLUS])))
         # a copy, so that the cached pinned stacks keep no X or D alive
-        pinned = pinned.copy()
-        out, idx = {}, 0
-        for lv in range(self.quad.max_order):
-            # slot 1 is the fastest-varying branch
-            for tail in itertools.product((MINUS, PLUS), repeat=lv):
-                out[MINUS + "".join(tail[::-1])] = free[idx], pinned[idx]
-                idx += 1
-        return out
+        free, pinned = _frozen(free), _frozen(pinned.copy())
+        # level by level; slot 1 is the fastest-varying branch
+        strings = (MINUS + "".join(tail[::-1])
+                   for lv in range(self.quad.max_order)
+                   for tail in itertools.product((MINUS, PLUS), repeat=lv))
+        for idx, signs in enumerate(strings):
+            self._clusters[signs, SCHRODINGER] = free[idx], pinned[idx]
 
-    def _momentum_sweep(self, kind):
-        """Cache every exact-bath momentum of one kind from one sweep.
+    def _momentum_sweep(self):
+        """Cache every forward exact-bath momentum from one sweep.
 
-        Fills ``self._mu`` under ``(n, kind, dotted)`` for n = 1..max_order
-        from ``_sweep`` with one branch, the slot operator summed over both
-        signs with the parity eta of a PLUS slot for the adjoint kind: its
-        level n-1 gives mu_n (free) and its derivative (pinned).
+        ``_sweep`` with one branch, the slot operator summed over both
+        signs: level n-1 gives mu_n (free) and its derivative (pinned).
         """
-        if kind == ADJOINT and not self.model.bath.is_stationary():
-            raise ValueError("adjoint evaluation requires a stationary bath")
-        tab = self.factors[kind]
-        eta = -1.0 if kind == ADJOINT else 1.0
-        lead = tab[MINUS]
-        stacks = self._sweep(kind, (lead + eta * tab[PLUS])[None],
-                             (lead - eta * tab[PLUS])[None])
+        tab = self.a_tab
+        stacks = self._sweep((tab[MINUS] + tab[PLUS])[None],
+                             (tab[MINUS] - tab[PLUS])[None])
         for dotted, stack in zip((False, True), stacks):
             for n, val in enumerate(stack, 1):
-                if kind == ADJOINT:
-                    val = val.transpose(0, 2, 1)
                 # a copy, so that no cached stack keeps the others alive
-                self._mu[n, kind, dotted] = _frozen(np.array(val))
+                self._mu[n, SCHRODINGER, dotted] = _frozen(np.array(val))
 
-    def _gaussian_cluster(self, signs, kind):
+    def _gaussian_cluster(self, signs):
         """(free, pinned) stacks of one forward Gaussian-bath chain.
 
-        ``signs`` is a forward sign string and the system factors are
-        ``self.factors[kind]``.  A later slot at b, following its neighbour
-        at a, has the weight ``w(b) theta[a, b]``, where w is wb for X and
-        ``weights(j0)`` for D and P, and P drops theta between slots 0 and
-        1.  For one or two slots this rule is applied at every j0 at once.
-        For more, each j0 gets the correlator box of the later slots over
-        grid points 0..j0 from one ``_chain`` call, and the weighted box is
-        contracted with the system factors from the innermost slot out,
-        one matmul per slot.  On a zero-mean bath an odd cluster of three or
-        more slots is zero (Isserlis) and is not evaluated.
+        ``signs`` is a forward sign string.  A later slot at b, following
+        its neighbour at a, has the weight ``w(b) theta[a, b]``, where w is
+        wb for X and ``weights(j0)`` for D and P, and P drops theta between
+        slots 0 and 1.  For one or two slots this rule is applied at every
+        j0 at once.  For more, each j0 gets the correlator box of the later
+        slots over grid points 0..j0 from one ``_chain`` call, and the
+        weighted box is contracted with the system factors from the
+        innermost slot out, one matmul per slot.  On a zero-mean bath an odd
+        cluster of three or more slots is zero (Isserlis) and is not
+        evaluated.
         """
-        tab, wb, c, th = self.factors[kind], self.wb, self.c, self.theta
+        tab, wb, c, th = self.a_tab, self.wb, self.c, self.theta
         dsig = flip_signs(signs)
         m1, d2 = self.grid.M + 1, self.d2
         if len(signs) > 1 and len(signs) % 2 and self.ctab.bath.mean is None:
@@ -625,24 +615,26 @@ class GeneratorEngine:
     def mu(self, n, i=None, kind=SCHRODINGER, dotted=False):
         """The n-th momentum (or its derivative) at t_i, or its stack.
 
-        An exact bath gets every momentum of the kind from one
-        ``_momentum_sweep``; a Gaussian bath sums its cluster terms.
+        An exact bath gets every forward momentum from one
+        ``_momentum_sweep``; a Gaussian bath sums its forward cluster terms.
+        The adjoint momentum is the ``_dual`` of the forward one.
         """
         self._check_index(i)
         if not 1 <= n <= self.quad.max_order:
             raise ValueError(f"momentum order {n} outside "
                              f"1..{self.quad.max_order}")
         key = (n, kind, dotted)
-        val = self._mu.get(key)
-        if val is None:
-            if self._exact:
-                self._momentum_sweep(kind)
-                val = self._mu[key]
+        if key not in self._mu:
+            if kind == ADJOINT:
+                self._mu[key] = self._dual(
+                    lambda: self.mu(n, None, SCHRODINGER, dotted), n)
+            elif self._exact:
+                self._momentum_sweep()
             else:
                 make = momentum_derivative_terms if dotted else momentum_terms
-                val = self._mu[key] = _frozen(sum(
-                    self.term_value(t) for t in make(n, kind)))
-        return self._at(val, i)
+                self._mu[key] = _frozen(sum(self.term_value(t)
+                                            for t in make(n, kind)))
+        return self._at(self._mu[key], i)
 
     def generator_order(self, n, i=None, kind=SCHRODINGER,
                         path=MATRIX_RECURSION):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -468,6 +469,104 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "x")]) == 0
         summary = json.loads((tmp_path / "x" / "summary.json").read_text())
         assert summary["grid"] == {"T": 1.0, "M": 20}
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section,key", [
+        ("model", "g"), ("grid", "T"), ("bath", "omega"), ("bath", "shift"),
+        (None, "couplings"),
+    ], ids=["model.g", "grid.T", "bath.omega", "bath.shift", "couplings"])
+    def test_non_finite_real_value_is_config_error(
+            self, config_path, tmp_path, capsys, monkeypatch, section, key,
+            value):
+        # json reads NaN and Infinity; they used to run the whole task and
+        # exit 3, or fail inside an eigensolver
+        from tclgen.superops import GeneratorEngine
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an engine was built")
+
+        monkeypatch.setattr(GeneratorEngine, "__init__", forbidden)
+        cfg = dephasing_config(grid={"T": 1.0, "M": 20})
+        cfg["bath"] = {"type": "boson-mode", "omega": 1.0, "n_max": 2,
+                       "beta": 1.0, "shift": 0.5}
+        cfg["couplings"] = [0.05, 0.1]
+        if section is None:
+            cfg[key][1] = value
+        else:
+            cfg[section][key] = value
+        assert main(["compare", "--config", config_path(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert f"{section + '.' if section else ''}{key} must be finite" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf],
+                             ids=["nan", "-inf"])
+    def test_beta_refuses_nan_and_negative_infinity(self, config_path,
+                                                    tmp_path, capsys, value):
+        cfg = dephasing_config(grid={"T": 1.0, "M": 20})
+        cfg["bath"] = {"type": "boson-mode", "omega": 1.0, "n_max": 2,
+                       "beta": value}
+        assert main(["evaluate", "--config", config_path(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "bath.beta must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_infinite_beta_is_the_vacuum(self, config_path, tmp_path):
+        # like null: +Infinity is the zero-temperature limit
+        outs = []
+        for beta in (None, math.inf):
+            cfg = dephasing_config(grid={"T": 1.0, "M": 20})
+            cfg["bath"] = {"type": "boson-mode", "omega": 1.0, "n_max": 2,
+                           "beta": beta, "shift": 0.5}
+            out = tmp_path / f"x{len(outs)}"
+            assert main(["evaluate", "--config", config_path(cfg),
+                         "--out", str(out)]) == 0
+            outs.append((out / "generator.csv").read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("name", ["H_S", "A"])
+    @pytest.mark.parametrize("edit", [
+        lambda m: m[0][0].__setitem__(0, "0.7"),
+        lambda m: m[0][0].__setitem__(0, True),
+        lambda m: m[1][1].__setitem__(1, None),
+        lambda m: m[0][1].__setitem__(0, math.nan),
+        lambda m: m[1][0].__setitem__(1, math.inf),
+        lambda m: m[1][1].__setitem__(0, -math.inf),
+        lambda m: m[1].pop(),
+        lambda m: m[0][1].append(0.0),
+        lambda m: m.pop(),
+        lambda m: m.append(m[0]),
+        lambda m: m.clear(),
+        "[[0.7, 0], [0, 0]]",
+        0.7,
+    ], ids=["string-entry", "boolean-entry", "null-entry", "nan-entry",
+            "inf-entry", "-inf-entry", "ragged-row", "triple-entry",
+            "missing-row", "extra-row", "empty", "string-matrix",
+            "scalar-matrix"])
+    def test_malformed_matrix_is_config_error(self, config_path, tmp_path,
+                                              capsys, monkeypatch, name,
+                                              edit):
+        # entries used to be cast: "0.7" and true ran, NaN ran the whole
+        # task, and a ragged matrix exited 3 with numpy's message
+        from tclgen.superops import GeneratorEngine
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an engine was built")
+
+        monkeypatch.setattr(GeneratorEngine, "__init__", forbidden)
+        cfg = json.loads((CONFIGS[0].parent / "dephasing_qubit.json")
+                         .read_text())
+        cfg["grid"]["M"] = 20
+        if callable(edit):
+            edit(cfg["model"][name])
+        else:
+            cfg["model"][name] = edit
+        assert main(["evaluate", "--config", config_path(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert f"model.{name}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("t_max,T", [(1.5, 2.0), (3.06, 9.0)])
     def test_two_point_csv_must_cover_the_grid(self, config_path, tmp_path,

@@ -297,7 +297,13 @@ class TestGeneratorAssembly:
     @pytest.mark.parametrize("entry", [
         "evaluate_mu", "evaluate_mu_dot", "evaluate_term", "cluster_value",
         "cluster_value_stack", "mu", "generator_order"])
-    def test_adjoint_entry_points_refuse_a_drifting_bath(self, entry):
+    def test_adjoint_entry_points_refuse_a_drifting_bath(self, entry,
+                                                         monkeypatch):
+        from tclgen.superops import GeneratorEngine
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a sweep ran before the refusal")
+
         model = self.coherent_mode_model()
         quad = QuadratureConfig(Grid(1.0, 12), max_order=3)
         eng = engine_for(model, quad)
@@ -314,8 +320,10 @@ class TestGeneratorAssembly:
             "mu": lambda: eng.mu(2, 12, ADJOINT),
             "generator_order": lambda: eng.generator_order(3, None, ADJOINT),
         }[entry]
-        with pytest.raises(ValueError, match="stationary"):
-            call()
+        with monkeypatch.context() as patch:
+            patch.setattr(GeneratorEngine, "_sweep", forbidden)
+            with pytest.raises(ValueError, match="stationary"):
+                call()
         # the forward kind is well defined on the same bath
         assert np.isfinite(eng.generator_order(3, None, SCHRODINGER)).all()
 
@@ -511,16 +519,18 @@ class TestChainSweep:
 
 
 class TestSuffixTrieSweep:
-    """One exact-bath sweep per kind serves every cluster size at once."""
+    """One exact-bath sweep serves every cluster size of both kinds."""
 
-    def test_one_sweep_per_kind_serves_every_cluster(self, monkeypatch):
+    def test_one_sweep_serves_every_cluster_of_both_kinds(self, monkeypatch):
+        # an adjoint cluster is the dual of a forward one, so the forward
+        # sweep serves both kinds
         from tclgen.superops import GeneratorEngine
         calls = []
         sweep = GeneratorEngine._kind_sweep
 
-        def counted(self, kind):
-            calls.append(kind)
-            return sweep(self, kind)
+        def counted(self):
+            calls.append(self)
+            return sweep(self)
 
         monkeypatch.setattr(GeneratorEngine, "_kind_sweep", counted)
         quad = QuadratureConfig(Grid(0.6, 8), max_order=4)
@@ -533,7 +543,7 @@ class TestSuffixTrieSweep:
                             val = eng.cluster_value(signs, pinned, i, kind)
                             assert val.shape == (eng.d2, eng.d2)
                             assert np.isfinite(val).all()
-        assert calls == [SCHRODINGER, ADJOINT]
+        assert calls == [eng]
 
     def test_cluster_above_max_order_is_refused(self):
         eng = engine_for(rand_model(),
@@ -575,12 +585,19 @@ class TestMomentumSweep:
                         got, want, rtol=0, atol=1e-13 * np.abs(want).max(),
                         err_msg=f"{kind} n={n} dotted={dotted}")
 
-    @pytest.mark.parametrize("kind", [SCHRODINGER, ADJOINT])
-    def test_momenta_match_brute_tuple_sums(self, kind):
+    @pytest.mark.parametrize("kind,backend", [
+        (SCHRODINGER, "exact"), (ADJOINT, "exact"),
+        (SCHRODINGER, "gaussian"), (ADJOINT, "gaussian"),
+    ], ids=[SCHRODINGER, ADJOINT, f"gaussian-{SCHRODINGER}",
+            f"gaussian-{ADJOINT}"])
+    def test_momenta_match_brute_tuple_sums(self, kind, backend):
         # independent of the chain recurrence that the sweep shares with
-        # the cluster path: plain sums over ordered_correlation
+        # the cluster path, and of the forward-to-adjoint dual: plain sums
+        # over ordered_correlation of each kind
         brute = TestClusterQuadratureOracle.brute_cluster
-        model = rand_model(g=0.5, gen=np.random.default_rng(13))
+        gen = np.random.default_rng(13)
+        model = (rand_model(g=0.5, gen=gen) if backend == "exact"
+                 else gaussian_model(True, gen=gen))
         eng = engine_for(model, QuadratureConfig(Grid(0.6, 8), max_order=4))
         for n in range(1, 5):
             for dotted in (False, True):
@@ -630,7 +647,7 @@ class TestWholeGridStacks:
         assert tab.tobytes() == single.tobytes()
         assert np.abs(tab).max() > 0
 
-    def test_gaussian_cluster_is_evaluated_once_per_signs_and_kind(
+    def test_gaussian_cluster_is_evaluated_once_per_forward_signs(
             self, monkeypatch):
         from collections import Counter
 
@@ -639,19 +656,20 @@ class TestWholeGridStacks:
         calls = Counter()
         evaluate = GeneratorEngine._gaussian_cluster
 
-        def counted(self, signs, kind):
-            calls[signs, kind] += 1
-            return evaluate(self, signs, kind)
+        def counted(self, signs):
+            calls[signs] += 1
+            return evaluate(self, signs)
 
         monkeypatch.setattr(GeneratorEngine, "_gaussian_cluster", counted)
-        model = gaussian_model(True)
-        quad = QuadratureConfig(Grid(0.8, 12), max_order=3)
-        for kind_model in (model, replace(model, adjoint=True)):
+        eng = engine_for(gaussian_model(True),
+                         QuadratureConfig(Grid(0.8, 12), max_order=3))
+        for kind in (SCHRODINGER, ADJOINT):
             for path in (MATRIX_RECURSION, TERM_EXPANSION):
-                generator_table(kind_model, quad, 3, path)
-        # the backend sees each cluster as its forward chain: an adjoint
-        # cluster's sign string reversed
-        wanted = {(block[::-1] if kind == ADJOINT else block, kind)
+                assert np.isfinite(eng.generator(3, None, kind, path)).all()
+        # the backend sees each cluster as its forward chain, an adjoint
+        # cluster's sign string reversed, and one engine shares it between
+        # both kinds
+        wanted = {block[::-1] if kind == ADJOINT else block
                   for kind in (SCHRODINGER, ADJOINT)
                   for n in (1, 2, 3) for term in generator_terms(n, kind)
                   for block in term.cluster_signs()}
