@@ -12,7 +12,7 @@ only: nothing is renormalized or clamped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from tclgen.superops import (
     generator_table,
     vec,
 )
+from tclgen.terms import ADJOINT, SCHRODINGER
 
 PSD_TOL = 1e-10
 
@@ -97,12 +98,10 @@ def _quad_for(grid, N, quad):
     return quad
 
 
-def _propagate(model, x0, grid, N, quad, path, adjoint, trace_ref):
-    """RK4 trajectory of ``x0`` under the forward or the adjoint generator."""
+def _propagate(model, x0, grid, N, quad, path, kind, trace_ref):
+    """RK4 trajectory of ``x0`` under the generator of ``kind``."""
     quad = _quad_for(grid, N, quad)
-    work = (model if model.adjoint == adjoint
-            else replace(model, adjoint=adjoint))
-    l_tab = generator_table(work, quad, N, path)
+    l_tab = generator_table(model, quad, N, path, kind)
     d = model.d_S
     payload = _rk4_run(l_tab, x0, grid.h).reshape(-1, d, d)
     return Trajectory(grid.times.copy(), payload,
@@ -114,7 +113,7 @@ def propagate_state(model, rho0, grid, N, quad=None, path=MATRIX_RECURSION):
     rho0 = _validate_state(rho0)
     if rho0.shape[0] != model.d_S:
         raise ValueError("rho0 dimension does not match the model")
-    return _propagate(model, rho0, grid, N, quad, path, False, 1.0)
+    return _propagate(model, rho0, grid, N, quad, path, SCHRODINGER, 1.0)
 
 
 def propagate_observable(model, O0, grid, N, quad=None, path=MATRIX_RECURSION):
@@ -124,7 +123,7 @@ def propagate_observable(model, O0, grid, N, quad=None, path=MATRIX_RECURSION):
         raise ValueError("O0 must be Hermitian")
     if O0.shape[0] != model.d_S:
         raise ValueError("O0 dimension does not match the model")
-    return _propagate(model, O0, grid, N, quad, path, True,
+    return _propagate(model, O0, grid, N, quad, path, ADJOINT,
                       float(np.real(np.trace(O0))))
 
 

@@ -750,11 +750,16 @@ def assemble_generator(N, t_index, model, quad, path=MATRIX_RECURSION):
                                              path)
 
 
-def generator_table(model, quad, N, path=MATRIX_RECURSION):
-    """Truncated generator on the whole grid, shape (M+1, d^2, d^2)."""
+def generator_table(model, quad, N, path=MATRIX_RECURSION, kind=None):
+    """Truncated generator on the whole grid, shape (M+1, d^2, d^2).
+
+    ``kind`` defaults to the model's own; either kind is served by the one
+    engine of (model, quad).
+    """
     if not 1 <= N <= quad.max_order:
         raise ValueError(f"N must be in 1..{quad.max_order}")
-    return engine_for(model, quad).generator(N, None, _kind_of(model), path)
+    return engine_for(model, quad).generator(
+        N, None, _kind_of(model) if kind is None else kind, path)
 
 
 def evaluate_vk_generator(n, t_index, model, quad):

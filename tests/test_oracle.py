@@ -7,7 +7,6 @@ from tclgen.oracle import (
     FullModel,
     duality_check,
     exact_reduced_trajectory,
-    partial_trace_bath,
     scaling_probe,
     tcl_vs_exact_error,
 )
@@ -19,15 +18,35 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def rand_herm(d):
-    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+def rand_herm(d, gen=rng):
+    x = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
     return 0.5 * (x + x.conj().T)
 
 
-def rand_state(d):
-    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+def rand_state(d, gen=rng):
+    x = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
     rho = x @ x.conj().T
     return rho / np.trace(rho)
+
+
+def partial_trace_bath(x, d_s, d_e):
+    """Tr_E of (..., d_s*d_e, d_s*d_e) operators; leading axes are a batch."""
+    x = np.asarray(x)
+    return np.einsum("...aebe->...ab",
+                     x.reshape(x.shape[:-2] + (d_s, d_e, d_s, d_e)))
+
+
+def explicit_reduced(full, grid):
+    """The oracle by the explicit route: expm of the whole composite state at
+    every grid time, an einsum partial trace, then the rotation back."""
+    out = []
+    for t in grid.times:
+        u = expm(-1j * t * full.H_total)
+        red = partial_trace_bath(u @ full.rho_total0 @ u.conj().T,
+                                 full.d_S, full.d_E)
+        back = expm(1j * t * full.model.H_S)
+        out.append(back @ red @ back.conj().T)
+    return np.array(out)
 
 
 def dephasing_setup(g=0.15, omega=1.0, n_max=6):
@@ -102,6 +121,28 @@ class TestExactTrajectory:
         back = expm(1j * grid.T * model.H_S)
         want = back @ red @ back.conj().T
         assert np.abs(got - want).max() < 1e-12
+
+    def test_drifting_bath_matches_explicit_route_at_every_time(self):
+        # rho_E off-diagonal and not commuting with H_E, d_S = 3, d_E = 4
+        gen = np.random.default_rng(15)
+        h_e = rand_herm(4, gen)
+        rho_e = rand_state(4, gen)
+        assert np.abs(h_e @ rho_e - rho_e @ h_e).max() > 0.1
+        bath = ExactBath(h_e, rand_herm(4, gen), rho_e)
+        model = ModelSpec(rand_herm(3, gen), rand_herm(3, gen), 0.4, bath)
+        full = FullModel(model, rand_state(3, gen))
+        grid = Grid(2.5, 12)
+        got = exact_reduced_trajectory(full, grid).payload
+        assert np.abs(got - explicit_reduced(full, grid)).max() < 1e-12
+
+    def test_thermal_mode_matches_explicit_route_at_every_time(self):
+        model = ModelSpec(0.5 * SZ + 0.2 * SX, SX, 0.1,
+                          boson_mode_bath(1.0, 40, beta=1.0))
+        rho0 = np.array([[0.8, 0.3 - 0.1j], [0.3 + 0.1j, 0.2]])
+        full = FullModel(model, rho0)
+        grid = Grid(5.0, 16)
+        got = exact_reduced_trajectory(full, grid).payload
+        assert np.abs(got - explicit_reduced(full, grid)).max() < 1e-12
 
     def test_desk_dimension_bound(self):
         bath = boson_mode_bath(1.0, 4095)

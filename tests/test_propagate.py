@@ -221,7 +221,7 @@ def test_observed_convergence_order_is_two():
 
 
 def test_reused_quadrature_keeps_one_engine():
-    # each call derives a fresh adjoint model from the non-adjoint one
+    # one cache entry, whichever kind each call propagates
     model = ModelSpec(rand_herm(2), rand_herm(2), 0.2,
                       qubit_bath(1.1, beta=1.0, shift=0.4))
     grid = Grid(1.0, 20)
@@ -234,3 +234,30 @@ def test_reused_quadrature_keeps_one_engine():
     np.testing.assert_array_equal(again.payload, first.payload)
     propagate_state(model, rand_state(2), grid, 2, quad=quad)
     assert len(quad._cache) == 1
+
+
+def test_both_kinds_share_one_engine(monkeypatch):
+    # three observables and one state on one forward model and quadrature
+    # build a single engine, and give the payloads of engines of their own
+    from tclgen.superops import GeneratorEngine
+    model = ModelSpec(0.5 * SZ + 0.2 * SX, SX, 0.3,
+                      boson_mode_bath(1.0, 6, shift=0.7))
+    grid = Grid(5.0, 30)
+    rho0 = np.array([[0.8, 0.3 - 0.1j], [0.3 + 0.1j, 0.2]])
+    runs = [(propagate_observable, o0) for o0 in (SZ, SX, rand_herm(2))]
+    runs.append((propagate_state, rho0))
+
+    def payloads(quad_for):
+        return [run(model, x0, grid, 3, quad=quad_for()).payload
+                for run, x0 in runs]
+
+    own = payloads(lambda: QuadratureConfig(grid, max_order=3))
+    built = []
+    init = GeneratorEngine.__init__
+    monkeypatch.setattr(GeneratorEngine, "__init__",
+                        lambda self, *a: built.append(1) or init(self, *a))
+    quad = QuadratureConfig(grid, max_order=3)
+    shared = payloads(lambda: quad)
+    assert len(built) == 1
+    for got, want in zip(shared, own):
+        assert got.tobytes() == want.tobytes()
