@@ -15,11 +15,11 @@ from tclgen.baths import (
     boson_mode_bath,
     correlator_table,
     interaction_picture,
-    isserlis_correlation,
     ordered_correlation,
     qubit_bath,
     thermal_mode_two_point,
     two_point_from_samples,
+    wick_sum,
 )
 from tclgen.terms import ADJOINT
 
@@ -229,6 +229,14 @@ class TestOrderedCorrelation:
             back = np.trace(bath.rho_E @ x)
             eta = (-1) ** signs.count("-")
             assert abs(fwd - eta * back) < 1e-13
+
+
+def isserlis_correlation(two_point, ordered_times):
+    """Plain zero-mean Gaussian moment: the pairing sum over C(tau_a, tau_b)
+    with a before b in operator order; odd lengths give exactly 0."""
+    times = list(ordered_times)
+    return complex(wick_sum(len(times),
+                            lambda a, b: two_point(times[a], times[b])))
 
 
 class TestIsserlis:

@@ -275,9 +275,10 @@ class TestNumericCommands:
                         + (tmp_path / name / "summary.json").read_bytes())
         assert outs[1] == outs[0] and outs[2] == outs[0]
 
-    def test_csv_bath_runs_without_scipy(self, config_path, tmp_path):
-        # scipy is a test dependency only; the sampled kernel must not pull
-        # it back in
+    @staticmethod
+    def csv_run_imports(config_path, tmp_path, module):
+        """Whether a fresh interpreter that runs ``propagate`` on a sampled
+        Gaussian kernel has ``module`` in ``sys.modules`` afterwards."""
         csv_path = tmp_path / "two_point.csv"
         csv_path.write_text("\n".join(two_point_rows(np.linspace(0, 2.0, 9)))
                             + "\n")
@@ -286,12 +287,26 @@ class TestNumericCommands:
                   "from tclgen.cli import main\n"
                   f"code = main(['propagate', '--config', {path!r}, "
                   f"'--out', {str(tmp_path / 'out')!r}])\n"
-                  "print(code, 'scipy' in sys.modules)\n")
+                  f"print(code, {module!r} in sys.modules)\n")
         env = dict(os.environ,
                    PYTHONPATH=str(Path(tclgen.__file__).parents[1]))
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, check=True)
-        assert done.stdout.splitlines()[-1].split() == ["0", "False"]
+        code, loaded = done.stdout.splitlines()[-1].split()
+        assert code == "0"
+        return loaded == "True"
+
+    def test_csv_bath_runs_without_scipy(self, config_path, tmp_path):
+        # scipy is a test dependency only; the sampled kernel must not pull
+        # it back in
+        assert not self.csv_run_imports(config_path, tmp_path, "scipy")
+
+    def test_gaussian_bath_runs_without_numpy_random(self, config_path,
+                                                     tmp_path):
+        # numpy loads numpy.random lazily, and the Gaussian bath's spot
+        # check uses fixed times, so no run of the Gaussian path imports it
+        assert not self.csv_run_imports(config_path, tmp_path,
+                                        "numpy.random")
 
     @pytest.mark.parametrize("order", [5, 6])
     @pytest.mark.parametrize("command", ["evaluate", "propagate", "compare"])

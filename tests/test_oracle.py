@@ -10,6 +10,7 @@ from tclgen.oracle import (
     scaling_probe,
     tcl_vs_exact_error,
 )
+from tclgen.propagate import propagate_observable
 from tclgen.superops import Grid, ModelSpec, QuadratureConfig
 
 rng = np.random.default_rng(57)
@@ -235,6 +236,25 @@ class TestDuality:
         quad = QuadratureConfig(Grid(1.0, 20), max_order=2)
         with pytest.raises(ValueError, match="stationary"):
             duality_check(model, rand_herm(2), rand_state(2), quad)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_adjoint_expectations_converge_to_the_oracle_at_order_n_plus_1(
+            self, N):
+        # the truncated observable against full unitary evolution, which
+        # shares no code with the generator or the integrator: the error in
+        # Tr[O(t) rho0] is the first neglected order, O(g^(N+1))
+        bath = boson_mode_bath(1.0, 6, shift=0.7)
+        rho0 = np.array([[0.8, 0.3 - 0.1j], [0.3 + 0.1j, 0.2]])
+        grid = Grid(3.0, 400)
+        errs = []
+        for g in (0.2, 0.1, 0.05, 0.025):
+            model = ModelSpec(0.5 * SZ + 0.2 * SX, SX, g, bath)
+            obs = propagate_observable(model, SZ, grid, N)
+            exact = exact_reduced_trajectory(FullModel(model, rho0), grid)
+            lhs = np.einsum("tij,ji->t", obs.payload, rho0)
+            rhs = np.einsum("ij,tji->t", SZ, exact.payload)
+            errs.append(np.abs(lhs - rhs).max())
+        assert np.log2(errs[-2] / errs[-1]) >= N + 1 - 0.3
 
 
 def test_tcl_vs_exact_error_series_shape():

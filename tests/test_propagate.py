@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -5,11 +7,18 @@ from scipy.linalg import expm
 from tclgen.baths import ExactBath, boson_mode_bath, qubit_bath
 from tclgen.propagate import (
     Trajectory,
+    _rk4_run,
     propagate_observable,
     propagate_state,
     trajectory_to_csv,
 )
-from tclgen.superops import Grid, ModelSpec, QuadratureConfig, commutator_super
+from tclgen.superops import (
+    Grid,
+    ModelSpec,
+    QuadratureConfig,
+    commutator_super,
+    vec,
+)
 
 rng = np.random.default_rng(41)
 
@@ -261,3 +270,64 @@ def test_both_kinds_share_one_engine(monkeypatch):
     assert len(built) == 1
     for got, want in zip(shared, own):
         assert got.tobytes() == want.tobytes()
+
+
+def stagewise_rk4(l_tab, x0, h):
+    """The RK4 reference: four stages per step, each one matvec on the state,
+    with the generator interpolated linearly mid-step."""
+    steps = len(l_tab) - 1
+    out = np.empty((steps + 1, x0.size), dtype=complex)
+    out[0] = vec(x0)
+    y = out[0].copy()
+    for i in range(steps):
+        l0, l1 = l_tab[i], l_tab[i + 1]
+        lm = 0.5 * (l0 + l1)
+        k1 = l0 @ y
+        k2 = lm @ (y + 0.5 * h * k1)
+        k3 = lm @ (y + 0.5 * h * k2)
+        k4 = l1 @ (y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[i + 1] = y
+    return out
+
+
+def random_generator_table(gen, d, M, kind):
+    """(M+1, d^2, d^2) table whose rows preserve the trace (forward-like) or
+    annihilate the identity (adjoint-like), of norm about one per row."""
+    d2 = d * d
+    x = gen.normal(size=(M + 1, d2, d2)) + 1j * gen.normal(size=(M + 1, d2, d2))
+    x /= d2
+    ident = vec(np.eye(d)) / np.sqrt(d)
+    proj = np.eye(d2) - np.outer(ident, ident.conj())
+    return proj @ x if kind == "forward" else x @ proj
+
+
+@pytest.mark.parametrize("kind", ["forward", "adjoint"])
+@pytest.mark.parametrize("M", [2, 17, 160])
+@pytest.mark.parametrize("d", [2, 3])
+def test_rk4_propagators_match_the_stagewise_reference(d, M, kind):
+    gen = np.random.default_rng(100 * d + M)
+    l_tab = random_generator_table(gen, d, M, kind)
+    x = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
+    x0 = x + x.conj().T
+    h = 2.0 / M
+    got = _rk4_run(l_tab, x0, h)
+    want = stagewise_rk4(l_tab, x0, h)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    if kind == "forward":
+        # a trace-preserving table keeps the trace through every step
+        np.testing.assert_allclose(got @ vec(np.eye(d)), np.trace(x0),
+                                   atol=1e-12)
+
+
+def test_rk4_memory_is_a_few_generator_tables():
+    l_tab = random_generator_table(np.random.default_rng(5), 3, 160,
+                                   "forward")
+    x0 = np.eye(3) / 3
+    tracemalloc.start()
+    try:
+        _rk4_run(l_tab, x0, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * l_tab.nbytes
