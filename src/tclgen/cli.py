@@ -229,8 +229,7 @@ def load_config(path):
 def _build_problem(parsed):
     """Construct model/grid/quad; raises ValueError on numeric violations."""
     bath = _parse_bath(parsed["bath_cfg"], parsed["T"])
-    model = superops.ModelSpec(parsed["H_S"], parsed["A"], parsed["g"], bath,
-                               adjoint=parsed["adjoint"])
+    model = superops.ModelSpec(parsed["H_S"], parsed["A"], parsed["g"], bath)
     grid = superops.Grid(parsed["T"], parsed["M"])
     quad = superops.QuadratureConfig(grid, max_order=parsed["order"])
     return model, grid, quad
@@ -296,8 +295,9 @@ def _summary(out_dir, payload):
 
 def cmd_evaluate(args, parsed):
     model, grid, quad = _build_problem(parsed)
+    kind = terms.ADJOINT if parsed["adjoint"] else terms.SCHRODINGER
     table = superops.generator_table(model, quad, parsed["order"],
-                                     path=_gen_path(parsed))
+                                     _gen_path(parsed), kind)
     _require_finite("generator table", table)
     # one line per matrix entry, grid time outermost, then row, then column
     cells = table[0].size

@@ -139,7 +139,7 @@ def propagate_state(model, rho0, grid, N, quad=None, path=MATRIX_RECURSION):
 
 
 def propagate_observable(model, O0, grid, N, quad=None, path=MATRIX_RECURSION):
-    """Integrate the adjoint equation for an observable (stationary bath)."""
+    """Integrate the adjoint equation for an observable."""
     O0 = np.asarray(O0, dtype=complex)
     if np.linalg.norm(O0 - O0.conj().T) > PSD_TOL:
         raise ValueError("O0 must be Hermitian")

@@ -30,8 +30,7 @@ right multiplication and reverses products.  An adjoint-kind cluster of m
 slots (last slot MINUS) is ``(-1)^m dual`` of the forward cluster of its
 reversed sign string, pinned or free, and the adjoint momenta (and their
 derivatives) are ``(-1)^n dual(mu_n)``: state/observable duality, order by
-order.  L_n is not mapped, as the dual reverses products.  The dual needs a
-stationary bath: a drifting exact one is refused before any sweep.
+order.  L_n is not mapped, as the dual reverses products.
 
 Exact-bath chains (one ``_sweep`` per branch set): a chain of m slots is
 carried from the inside out as running joint system x bath states of
@@ -165,8 +164,8 @@ class Grid:
     M: int
 
     def __post_init__(self):
-        if self.T <= 0 or self.M < 1:
-            raise ValueError("grid needs T > 0 and M >= 1")
+        if not 0 < self.T < np.inf or self.M < 1:
+            raise ValueError("grid needs a finite T > 0 and M >= 1")
         object.__setattr__(self, "T", float(self.T))
         times = np.linspace(0.0, self.T, self.M + 1)
         times.setflags(write=False)
@@ -177,7 +176,7 @@ class Grid:
         return self.T / self.M
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadratureConfig:
     """Grid and largest expansion order, the largest cluster size.
 
@@ -212,7 +211,6 @@ class ModelSpec:
     A: np.ndarray
     g: float
     bath: object
-    adjoint: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "H_S", _frozen_array(self.H_S))
@@ -288,14 +286,14 @@ class GeneratorEngine:
     recurrence (``_sweep``): the matrix recursion reads its one-branch
     momenta and the term expansion its two-branch clusters, so their
     agreement checks the sign sums and the term algebra.  The tests' brute
-    tuple sums over ``baths.ordered_correlation`` of each kind check the
+    tuple sums over the standard ``baths.ordered_correlation``, with the
+    system product reversed and signed for the adjoint kind, check the
     recurrence and the dual.  On a Gaussian bath both paths read the same
     cached cluster stacks.
     """
 
     def __init__(self, model, quad):
         self._exact = isinstance(model.bath, ExactBath)
-        self._stationary = not self._exact or model.bath.is_stationary()
         if not self._exact and quad.max_order > self.GAUSSIAN_MAX_SLOTS:
             raise ValueError(f"a Gaussian bath serves clusters of at most "
                              f"{self.GAUSSIAN_MAX_SLOTS} slots, not "
@@ -353,7 +351,7 @@ class GeneratorEngine:
         key = (signs, kind)
         if key not in self._clusters:
             if kind == ADJOINT:
-                self._clusters[key] = tuple(self._dual(lambda: np.stack([
+                self._clusters[key] = tuple(self._dual(np.stack([
                     self.cluster_value(signs[::-1], p, None, SCHRODINGER)
                     for p in (False, True)]), len(signs)))
             elif signs[0] != MINUS:
@@ -367,15 +365,11 @@ class GeneratorEngine:
                                                 self._gaussian_cluster(signs)))
         return self._at(self._clusters[key][pinned], i)
 
-    def _dual(self, forward, n):
-        """The adjoint-kind stack ``(-1)^n dual(forward())`` of order n.
+    def _dual(self, stack, n):
+        """The adjoint-kind stack ``(-1)^n dual(stack)`` of order n.
 
-        ``dual`` (module docstring) maps the last two axes.  ``forward()``
-        runs only on a stationary bath: a drifting one is refused first.
+        ``dual`` (module docstring) maps the last two axes.
         """
-        if not self._stationary:
-            raise ValueError("adjoint evaluation requires a stationary bath")
-        stack = forward()
         dual = stack.reshape(stack.shape[:-2] + (self.model.d_S,) * 4)
         dual = (-1) ** n * dual.swapaxes(-4, -1).swapaxes(-3, -2)
         return _frozen(dual.reshape(stack.shape))
@@ -627,7 +621,7 @@ class GeneratorEngine:
         if key not in self._mu:
             if kind == ADJOINT:
                 self._mu[key] = self._dual(
-                    lambda: self.mu(n, None, SCHRODINGER, dotted), n)
+                    self.mu(n, None, SCHRODINGER, dotted), n)
             elif self._exact:
                 self._momentum_sweep()
             else:
@@ -725,10 +719,6 @@ def engine_for(model, quad):
     return entry[1]
 
 
-def _kind_of(model):
-    return ADJOINT if model.adjoint else SCHRODINGER
-
-
 def evaluate_term(term, t_index, model, quad):
     """Numeric value of one symbolic term at grid time t_index."""
     return engine_for(model, quad).term_value(term, t_index)
@@ -742,24 +732,22 @@ def evaluate_mu_dot(n, t_index, model, quad, kind=SCHRODINGER):
     return engine_for(model, quad).mu(n, t_index, kind, dotted=True)
 
 
-def assemble_generator(N, t_index, model, quad, path=MATRIX_RECURSION):
+def assemble_generator(N, t_index, model, quad, path=MATRIX_RECURSION,
+                       kind=SCHRODINGER):
     """Truncated generator at one grid time, by either assembly path."""
     if not 1 <= N <= quad.max_order:
         raise ValueError(f"N must be in 1..{quad.max_order}")
-    return engine_for(model, quad).generator(N, t_index, _kind_of(model),
-                                             path)
+    return engine_for(model, quad).generator(N, t_index, kind, path)
 
 
-def generator_table(model, quad, N, path=MATRIX_RECURSION, kind=None):
+def generator_table(model, quad, N, path=MATRIX_RECURSION, kind=SCHRODINGER):
     """Truncated generator on the whole grid, shape (M+1, d^2, d^2).
 
-    ``kind`` defaults to the model's own; either kind is served by the one
-    engine of (model, quad).
+    Either kind is served by the one engine of (model, quad).
     """
     if not 1 <= N <= quad.max_order:
         raise ValueError(f"N must be in 1..{quad.max_order}")
-    return engine_for(model, quad).generator(
-        N, None, _kind_of(model) if kind is None else kind, path)
+    return engine_for(model, quad).generator(N, None, kind, path)
 
 
 def evaluate_vk_generator(n, t_index, model, quad):

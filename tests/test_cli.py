@@ -158,23 +158,6 @@ class TestNumericCommands:
     def test_adjoint_propagation_reproduces_state_expectations(
             self, config_path, tmp_path):
         sx = np.array([[0, 1], [1, 0]])
-        cfg = dephasing_config()
-        cfg["model"]["g"] = 0.05
-        cfg["model"]["observable"] = cplx(sx)
-        cfg["bath"] = {"type": "exact",
-                       "H_E": cplx(0.55 * SZ),
-                       "phi": cplx(sx),
-                       "rho_E": cplx(np.diag([0.3, 0.7]))}
-        cfg["grid"] = {"T": 2.0, "M": 160}
-        cfg["adjoint"] = True
-        path = config_path(cfg)
-        assert main(["propagate", "--config", path,
-                     "--out", str(tmp_path / "adj")]) == 0
-        cfg2 = json.loads(json.dumps(cfg))
-        cfg2["adjoint"] = False
-        path2 = config_path(cfg2, "state.json")
-        assert main(["propagate", "--config", path2,
-                     "--out", str(tmp_path / "st")]) == 0
 
         def column(sub, name):
             lines = (tmp_path / sub / "trajectory.csv").read_text().strip().split("\n")
@@ -182,12 +165,34 @@ class TestNumericCommands:
             k = head.index(name)
             return np.array([float(l.split(",")[k]) for l in lines[1:]])
 
-        # Tr[O(t) rho0] vs Tr[sx rho(t)] with rho0 = |+><+|: both reduce to
-        # the 01 real part times 2
-        adj_expect = column("adj", "re_0_1") + 0.5 * (
-            column("adj", "re_0_0") + column("adj", "re_1_1"))
-        st_expect = 2.0 * column("st", "re_0_1")
-        assert np.abs(adj_expect - st_expect).max() < 1e-5
+        # a stationary bath state, and a drifting one that does not commute
+        # with H_E
+        for tag, rho_e in (("eq", np.diag([0.3, 0.7])),
+                           ("drift", np.array([[0.3, 0.2], [0.2, 0.7]]))):
+            cfg = dephasing_config()
+            cfg["model"]["g"] = 0.05
+            cfg["model"]["observable"] = cplx(sx)
+            cfg["bath"] = {"type": "exact",
+                           "H_E": cplx(0.55 * SZ),
+                           "phi": cplx(sx),
+                           "rho_E": cplx(rho_e)}
+            cfg["grid"] = {"T": 2.0, "M": 160}
+            cfg["adjoint"] = True
+            adj, st = f"{tag}-adj", f"{tag}-st"
+            path = config_path(cfg, f"{adj}.json")
+            assert main(["propagate", "--config", path,
+                         "--out", str(tmp_path / adj)]) == 0
+            cfg["adjoint"] = False
+            path = config_path(cfg, f"{st}.json")
+            assert main(["propagate", "--config", path,
+                         "--out", str(tmp_path / st)]) == 0
+
+            # Tr[O(t) rho0] vs Tr[sx rho(t)] with rho0 = |+><+|: both reduce
+            # to the 01 real part times 2
+            adj_expect = column(adj, "re_0_1") + 0.5 * (
+                column(adj, "re_0_0") + column(adj, "re_1_1"))
+            st_expect = 2.0 * column(st, "re_0_1")
+            assert np.abs(adj_expect - st_expect).max() < 1e-5, tag
 
     def test_evaluate_writes_generator_entries(self, config_path, tmp_path):
         cfg = dephasing_config()

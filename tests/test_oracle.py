@@ -192,14 +192,32 @@ class TestScalingProbe:
             scaling_probe(model, rho0, Grid(1.0, 50), 2, [0.1])
 
 
+def coherent_mode_bath():
+    """A boson mode in a coherent superposition: not stationary."""
+    mode = boson_mode_bath(1.0, 3)
+    psi = np.zeros(4)
+    psi[:2] = np.sqrt(0.5)
+    return ExactBath(mode.H_E, mode.phi, np.outer(psi, psi))
+
+
+def random_drifting_bath(d_e, gen):
+    """A random exact bath whose state is not a function of H_E."""
+    return ExactBath(rand_herm(d_e, gen), rand_herm(d_e, gen),
+                     rand_state(d_e, gen))
+
+
 class TestDuality:
     def test_residuals_are_tiny_for_stationary_bath(self):
-        bath = qubit_bath(1.1, beta=1.0, shift=0.4)
-        model = ModelSpec(rand_herm(2), rand_herm(2), 0.2, bath)
-        quad = QuadratureConfig(Grid(2.0, 80), max_order=3)
-        res = duality_check(model, rand_herm(2), rand_state(2), quad)
-        assert set(res) == {1, 2, 3}
-        assert max(res.values()) < 1e-12
+        # and for a drifting one: the adjoint momenta are duals either way
+        stationary = qubit_bath(1.1, beta=1.0, shift=0.4)
+        drifting = random_drifting_bath(3, rng)
+        assert not drifting.is_stationary()
+        for bath, g in ((stationary, 0.2), (drifting, 0.1)):
+            model = ModelSpec(rand_herm(2), rand_herm(2), g, bath)
+            quad = QuadratureConfig(Grid(2.0, 80), max_order=3)
+            res = duality_check(model, rand_herm(2), rand_state(2), quad)
+            assert set(res) == {1, 2, 3}
+            assert max(res.values()) < 1e-12
 
     def test_first_order_closed_form(self):
         # both sides equal -i <phi> integrated against Tr[O0 [A(tau), rho]]
@@ -230,31 +248,30 @@ class TestDuality:
                 (-1j) ** n * evaluate_mu(n, 40, model, quad), rho0))
             assert abs(lhs) < 1e-13
 
-    def test_rejects_nonstationary_bath(self):
-        drifting = ExactBath(rand_herm(3), rand_herm(3), rand_state(3))
-        model = ModelSpec(rand_herm(2), rand_herm(2), 0.1, drifting)
-        quad = QuadratureConfig(Grid(1.0, 20), max_order=2)
-        with pytest.raises(ValueError, match="stationary"):
-            duality_check(model, rand_herm(2), rand_state(2), quad)
-
     @pytest.mark.parametrize("N", [2, 3])
     def test_adjoint_expectations_converge_to_the_oracle_at_order_n_plus_1(
             self, N):
         # the truncated observable against full unitary evolution, which
         # shares no code with the generator or the integrator: the error in
-        # Tr[O(t) rho0] is the first neglected order, O(g^(N+1))
-        bath = boson_mode_bath(1.0, 6, shift=0.7)
+        # Tr[O(t) rho0] is the first neglected order, O(g^(N+1)), on a
+        # stationary shifted mode and on two drifting baths
+        baths = {"shifted mode": boson_mode_bath(1.0, 6, shift=0.7),
+                 "coherent mode": coherent_mode_bath(),
+                 "random d_E=4": random_drifting_bath(
+                     4, np.random.default_rng(0))}
         rho0 = np.array([[0.8, 0.3 - 0.1j], [0.3 + 0.1j, 0.2]])
         grid = Grid(3.0, 400)
-        errs = []
-        for g in (0.2, 0.1, 0.05, 0.025):
-            model = ModelSpec(0.5 * SZ + 0.2 * SX, SX, g, bath)
-            obs = propagate_observable(model, SZ, grid, N)
-            exact = exact_reduced_trajectory(FullModel(model, rho0), grid)
-            lhs = np.einsum("tij,ji->t", obs.payload, rho0)
-            rhs = np.einsum("ij,tji->t", SZ, exact.payload)
-            errs.append(np.abs(lhs - rhs).max())
-        assert np.log2(errs[-2] / errs[-1]) >= N + 1 - 0.3
+        for name, bath in baths.items():
+            errs = []
+            for g in (0.2, 0.1, 0.05, 0.025):
+                model = ModelSpec(0.5 * SZ + 0.2 * SX, SX, g, bath)
+                obs = propagate_observable(model, SZ, grid, N)
+                exact = exact_reduced_trajectory(FullModel(model, rho0), grid)
+                lhs = np.einsum("tij,ji->t", obs.payload, rho0)
+                rhs = np.einsum("ij,tji->t", SZ, exact.payload)
+                errs.append(np.abs(lhs - rhs).max())
+            ratio = np.log2(errs[-2] / errs[-1])
+            assert ratio >= N + 1 - 0.3, f"{name}: log2 ratio {ratio:.2f}"
 
 
 def test_tcl_vs_exact_error_series_shape():

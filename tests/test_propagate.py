@@ -137,10 +137,18 @@ def test_observable_guards():
     model = ModelSpec(rand_herm(2), rand_herm(2), 0.1, qubit_bath(1.0))
     with pytest.raises(ValueError):
         propagate_observable(model, np.array([[0, 1], [0, 0]]), grid, 1)
+    # a drifting bath is served: the identity stays put, and a Hermitian
+    # observable stays Hermitian
     drifting = ExactBath(rand_herm(3), rand_herm(3), rand_state(3))
+    assert not drifting.is_stationary()
     model2 = ModelSpec(rand_herm(2), rand_herm(2), 0.1, drifting)
-    with pytest.raises(ValueError, match="stationary"):
-        propagate_observable(model2, rand_herm(2), grid, 1)
+    traj = propagate_observable(model2, np.eye(2), grid, 2)
+    np.testing.assert_allclose(traj.payload, np.broadcast_to(
+        np.eye(2), traj.payload.shape), rtol=0, atol=1e-13)
+    o0 = rand_herm(2)
+    traj = propagate_observable(model2, o0, grid, 2)
+    assert np.abs(traj.payload[-1] - o0).max() > 1e-3
+    assert traj.herm_residual.max() < 1e-12
 
 
 def test_trajectory_invariants_and_csv():

@@ -124,8 +124,9 @@ class TestSpecGuards:
             QuadratureConfig(grid, max_order=3)  # M < 2N
         with pytest.raises(ValueError):
             QuadratureConfig(Grid(1.0, 20), max_order=0)
-        with pytest.raises(ValueError):
-            Grid(0.0, 10)
+        for bad_t in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                Grid(bad_t, 10)
 
     def test_any_order_on_a_fine_enough_grid(self):
         assert QuadratureConfig(Grid(1.0, 14), max_order=7).max_order == 7
@@ -274,15 +275,20 @@ class TestGeneratorAssembly:
         assert abs(out[0, 0]) < 1e-13 and abs(out[1, 1]) < 1e-13
         assert abs(out[0, 1]) > 1e-4
 
-    def test_adjoint_requires_stationary_bath(self):
-        h = rand_herm(3)
-        rho = rand_state(3)
-        from tclgen.baths import ExactBath
-        bath = ExactBath(h, rand_herm(3), rho)
-        model = ModelSpec(rand_herm(2), rand_herm(2), 0.1, bath, adjoint=True)
+    def test_adjoint_generator_serves_a_drifting_bath(self):
+        # a random bath state, not a function of H_E: the adjoint generator
+        # is still the brute tuple sum of its momenta
+        bath = ExactBath(rand_herm(3), rand_herm(3), rand_state(3))
+        assert not bath.is_stationary()
+        model = ModelSpec(rand_herm(2), rand_herm(2), 0.3, bath)
         quad = QuadratureConfig(Grid(1.0, 10), max_order=2)
-        with pytest.raises(ValueError, match="stationary"):
-            assemble_generator(2, 5, model, quad)
+        got = assemble_generator(2, 5, model, quad, kind=ADJOINT)
+        eng = engine_for(model, quad)
+        want = sum(1j ** n * brute_generator_order(eng, n, 5, ADJOINT)
+                   for n in (1, 2))
+        assert np.abs(want).max() > 1e-3
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-13 * np.abs(want).max())
 
     @staticmethod
     def coherent_mode_model():
@@ -297,35 +303,44 @@ class TestGeneratorAssembly:
     @pytest.mark.parametrize("entry", [
         "evaluate_mu", "evaluate_mu_dot", "evaluate_term", "cluster_value",
         "cluster_value_stack", "mu", "generator_order"])
-    def test_adjoint_entry_points_refuse_a_drifting_bath(self, entry,
-                                                         monkeypatch):
-        from tclgen.superops import GeneratorEngine
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a sweep ran before the refusal")
-
+    def test_adjoint_entry_points_serve_a_drifting_bath(self, entry):
+        # each adjoint entry point against brute tuple sums over the
+        # standard correlator of the drifting bath
+        brute = TestClusterQuadratureOracle.brute_cluster
         model = self.coherent_mode_model()
         quad = QuadratureConfig(Grid(1.0, 12), max_order=3)
         eng = engine_for(model, quad)
         term = ClusteredTerm("+-", (2,), False, ADJOINT)
-        call = {
-            "evaluate_mu": lambda: evaluate_mu(3, 12, model, quad, ADJOINT),
-            "evaluate_mu_dot":
-                lambda: evaluate_mu_dot(3, 12, model, quad, ADJOINT),
-            "evaluate_term": lambda: evaluate_term(term, 12, model, quad),
-            "cluster_value":
-                lambda: eng.cluster_value("+-", False, 12, ADJOINT),
-            "cluster_value_stack":
-                lambda: eng.cluster_value("-", True, None, ADJOINT),
-            "mu": lambda: eng.mu(2, 12, ADJOINT),
-            "generator_order": lambda: eng.generator_order(3, None, ADJOINT),
-        }[entry]
-        with monkeypatch.context() as patch:
-            patch.setattr(GeneratorEngine, "_sweep", forbidden)
-            with pytest.raises(ValueError, match="stationary"):
-                call()
-        # the forward kind is well defined on the same bath
-        assert np.isfinite(eng.generator_order(3, None, SCHRODINGER)).all()
+        grid_points = range(quad.grid.M + 1)
+        got, want = {
+            "evaluate_mu": lambda: (
+                evaluate_mu(3, 12, model, quad, ADJOINT),
+                brute_momentum(eng, 3, False, 12, ADJOINT)),
+            "evaluate_mu_dot": lambda: (
+                evaluate_mu_dot(3, 12, model, quad, ADJOINT),
+                brute_momentum(eng, 3, True, 12, ADJOINT)),
+            "evaluate_term": lambda: (
+                evaluate_term(term, 12, model, quad),
+                term.coeff * brute(eng, "+-", False, 12, ADJOINT)),
+            "cluster_value": lambda: (
+                eng.cluster_value("+-", False, 12, ADJOINT),
+                brute(eng, "+-", False, 12, ADJOINT)),
+            "cluster_value_stack": lambda: (
+                eng.cluster_value("-", True, None, ADJOINT),
+                [brute(eng, "-", True, i, ADJOINT) for i in grid_points]),
+            "mu": lambda: (
+                eng.mu(2, 12, ADJOINT),
+                brute_momentum(eng, 2, False, 12, ADJOINT)),
+            "generator_order": lambda: (
+                eng.generator_order(3, None, ADJOINT)[::4],
+                [brute_generator_order(eng, 3, i, ADJOINT)
+                 for i in grid_points[::4]]),
+        }[entry]()
+        want = np.asarray(want)
+        # entries near zero make a relative error meaningless
+        assert np.abs(want).max() > 1e-4
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-13 * np.abs(want).max())
 
     def test_adjoint_unitality_and_hermiticity(self, setup):
         model, grid, quad = setup
@@ -436,6 +451,22 @@ def admissible_signs(m, kind):
     return out
 
 
+def brute_momentum(eng, n, dotted, i, kind):
+    """mu_n (or its derivative) at t_i as brute tuple sums, one per string."""
+    return sum(TestClusterQuadratureOracle.brute_cluster(eng, signs, dotted,
+                                                         i, kind)
+               for signs in admissible_signs(n, kind))
+
+
+def brute_generator_order(eng, n, i, kind):
+    """L_n at t_i from brute momenta: mu_n' - sum_k L_(n-k) mu_k."""
+    out = brute_momentum(eng, n, True, i, kind)
+    for k in range(1, n):
+        out = out - (brute_generator_order(eng, n - k, i, kind)
+                     @ brute_momentum(eng, k, False, i, kind))
+    return out
+
+
 def gaussian_model(with_mean, g=0.5, gen=rng):
     """Qubit system on a Gaussian bath; the mean varies in time."""
     base = thermal_mode_two_point(1.3, beta=0.8)
@@ -512,9 +543,9 @@ class TestChainSweep:
         for meth in ("pair_free", "triple_slice", "chain_rows"):
             monkeypatch.setattr(ExactCorrelatorTable, meth, forbidden)
         model = rand_model()
-        for kind_model in (model, replace(model, adjoint=True)):
+        for kind in (SCHRODINGER, ADJOINT):
             quad = QuadratureConfig(Grid(0.8, 12), max_order=4)
-            tab = generator_table(kind_model, quad, 4)
+            tab = generator_table(model, quad, 4, kind=kind)
             assert np.isfinite(tab).all() and np.abs(tab).max() > 0
 
 
@@ -588,22 +619,25 @@ class TestMomentumSweep:
     @pytest.mark.parametrize("kind,backend", [
         (SCHRODINGER, "exact"), (ADJOINT, "exact"),
         (SCHRODINGER, "gaussian"), (ADJOINT, "gaussian"),
+        (SCHRODINGER, "drifting"), (ADJOINT, "drifting"),
     ], ids=[SCHRODINGER, ADJOINT, f"gaussian-{SCHRODINGER}",
-            f"gaussian-{ADJOINT}"])
+            f"gaussian-{ADJOINT}", f"drifting-{SCHRODINGER}",
+            f"drifting-{ADJOINT}"])
     def test_momenta_match_brute_tuple_sums(self, kind, backend):
         # independent of the chain recurrence that the sweep shares with
         # the cluster path, and of the forward-to-adjoint dual: plain sums
-        # over ordered_correlation of each kind
-        brute = TestClusterQuadratureOracle.brute_cluster
+        # over the standard ordered_correlation, with the system product
+        # reversed and signed for the adjoint kind (brute_cluster)
         gen = np.random.default_rng(13)
-        model = (rand_model(g=0.5, gen=gen) if backend == "exact"
-                 else gaussian_model(True, gen=gen))
+        model = {"exact": lambda: rand_model(g=0.5, gen=gen),
+                 "gaussian": lambda: gaussian_model(True, gen=gen),
+                 "drifting": TestGeneratorAssembly.coherent_mode_model,
+                 }[backend]()
         eng = engine_for(model, QuadratureConfig(Grid(0.6, 8), max_order=4))
         for n in range(1, 5):
             for dotted in (False, True):
                 for i in (3, 8):
-                    want = sum(brute(eng, signs, dotted, i, kind)
-                               for signs in admissible_signs(n, kind))
+                    want = brute_momentum(eng, n, dotted, i, kind)
                     got = eng.mu(n, i, kind, dotted)
                     assert np.abs(want).max() > 1e-6
                     np.testing.assert_allclose(
@@ -623,9 +657,9 @@ class TestMomentumSweep:
         for name in ("momentum_terms", "momentum_derivative_terms"):
             monkeypatch.setattr(superops, name, forbidden)
         model = rand_model()
-        for kind_model in (model, replace(model, adjoint=True)):
+        for kind in (SCHRODINGER, ADJOINT):
             quad = QuadratureConfig(Grid(0.8, 12), max_order=4)
-            tab = generator_table(kind_model, quad, 4)
+            tab = generator_table(model, quad, 4, kind=kind)
             assert np.isfinite(tab).all() and np.abs(tab).max() > 0
 
 
@@ -637,12 +671,12 @@ class TestWholeGridStacks:
     @pytest.mark.parametrize("backend", ["exact", "gaussian"])
     def test_table_is_the_stack_of_single_times(self, backend, adjoint, path):
         model = rand_model() if backend == "exact" else gaussian_model(True)
-        model = replace(model, adjoint=adjoint)
+        kind = ADJOINT if adjoint else SCHRODINGER
         grid = Grid(0.8, 12)
         tab = generator_table(model, QuadratureConfig(grid, max_order=4), 4,
-                              path)
+                              path, kind)
         quad = QuadratureConfig(grid, max_order=4)
-        single = np.stack([assemble_generator(4, i, model, quad, path)
+        single = np.stack([assemble_generator(4, i, model, quad, path, kind)
                            for i in range(grid.M + 1)])
         assert tab.tobytes() == single.tobytes()
         assert np.abs(tab).max() > 0
@@ -753,6 +787,10 @@ class TestFrozenSpecs:
             grid.T = 3.0
         with pytest.raises(ValueError):
             grid.times[3] = 0.0
+        with pytest.raises(FrozenInstanceError):
+            quad.grid = Grid(4.0, 40)
+        with pytest.raises(FrozenInstanceError):
+            quad.max_order = 3
         np.testing.assert_array_equal(
             assemble_generator(2, 20, model, quad), before)
         # a derived spec gets its own engine, even on the same quadrature
