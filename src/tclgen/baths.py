@@ -27,7 +27,6 @@ from tclgen.terms import ADJOINT, MINUS, PLUS
 STANDARD = "standard"
 
 HERM_TOL = 1e-12
-STATIONARY_TOL = 1e-10
 
 
 def _check_hermitian(mat, name):
@@ -90,10 +89,6 @@ class ExactBath:
     @property
     def dim(self):
         return self.H_E.shape[0]
-
-    def is_stationary(self, tol=STATIONARY_TOL):
-        comm = self.H_E @ self.rho_E - self.rho_E @ self.H_E
-        return np.linalg.norm(comm) <= tol
 
     def phi_at(self, tau):
         """Interaction-picture coupling operator at one time."""
@@ -240,7 +235,11 @@ def ordered_correlation(bath, query):
 
     STANDARD applies the chain to rho_E innermost (rightmost) first and
     traces; ADJOINT applies it to the identity and pairs with rho_E.  The
-    1/2-per-factor prefactor is included.
+    1/2-per-factor prefactor is included.  Each factor is its own
+    Hilbert-Schmidt adjoint and maps Hermitian operators to Hermitian
+    (PLUS) or anti-Hermitian (MINUS) ones, so for any bath state D~ is
+    (-1)^(number of MINUS) times the trace of the same factors applied to
+    rho_E in the opposite order, leftmost first.
     """
     signs, times, kind = query.bath_signs, query.times, query.kind
     if isinstance(bath, GaussianBath):
@@ -253,8 +252,6 @@ def ordered_correlation(bath, query):
                                      bath.centered(times[b], times[a]), kind),
             None if bath.mean is None else (lambda i: bath.mean_at(times[i])),
             plus_slots))
-    if kind == ADJOINT and not bath.is_stationary():
-        raise ValueError("adjoint correlators require a stationary bath state")
     x = bath.rho_E if kind == STANDARD else np.eye(bath.dim, dtype=complex)
     phis = interaction_picture(bath.H_E, bath.phi, times)
     for sign, phi in zip(reversed(signs), phis[::-1]):

@@ -279,9 +279,12 @@ def _write(out_dir, name, text):
 
 
 def _require_finite(what, *arrays):
-    """Refuse a run whose results overflowed, before any file is written."""
+    """Refuse a run whose results overflowed, before any file is written.
+
+    An array given as None is absent and skipped.
+    """
     for arr in arrays:
-        if not np.isfinite(arr).all():
+        if arr is not None and not np.isfinite(arr).all():
             raise ValueError(f"the {what} is not finite: the run overflowed "
                              "at this coupling and grid")
 
@@ -334,17 +337,24 @@ def cmd_propagate(args, parsed):
                                          parsed["order"], quad=quad,
                                          path=_gen_path(parsed))
     _require_finite("trajectory", traj.payload, traj.trace_dev,
-                    traj.herm_residual, traj.min_eig)
+                    traj.herm_residual, traj.min_eig, traj.unitality_dev)
     _write(args.out, "trajectory.csv", propagate.trajectory_to_csv(traj))
-    _summary(args.out, {
+    summary = {
         "task": "propagate",
         "adjoint": parsed["adjoint"],
         "order": parsed["order"],
-        "final_trace_dev": float(traj.trace_dev[-1]),
-        "max_trace_dev": float(traj.trace_dev.max()),
         "max_herm_residual": float(traj.herm_residual.max()),
-        "min_eig": float(traj.min_eig.min()),
-    })
+    }
+    if parsed["adjoint"]:
+        # the adjoint equation preserves the identity, not Tr O or PSD
+        summary["max_unitality_dev"] = float(traj.unitality_dev.max())
+    else:
+        summary.update({
+            "final_trace_dev": float(traj.trace_dev[-1]),
+            "max_trace_dev": float(traj.trace_dev.max()),
+            "min_eig": float(traj.min_eig.min()),
+        })
+    _summary(args.out, summary)
     return 0
 
 

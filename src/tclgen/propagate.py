@@ -11,7 +11,10 @@ interpolation are both O(h^2), so the end-to-end error is O(h^2): halving h
 divides the final-state error by about four (measured observed order 2.0-2.1
 from M=50 to 400), not by sixteen.  Health monitors (trace deviation,
 hermiticity residual, minimum eigenvalue) are diagnostics only: nothing is
-renormalized or clamped.
+renormalized or clamped.  The adjoint equation preserves the identity, not
+the trace of the observable, so an observable run also carries the
+identity through the same steps and reports its unitality deviation
+||Phi~_t(1) - 1||_F.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ class Trajectory:
     trace_dev: np.ndarray
     herm_residual: np.ndarray
     min_eig: np.ndarray
+    unitality_dev: np.ndarray | None = None   # adjoint runs only
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
@@ -72,9 +76,12 @@ def _rk4_run(l_tab, x0, h):
     batched pass over the (M, d^2, d^2) stacks, then each step is one matvec.
     The build costs O(M d^6), the order of the generator table's own batched
     products, and works in place in four stacks the size of ``l_tab``.
+    ``x0`` is one (d, d) operator, giving (M+1, d^2) vectors, or a (c, d, d)
+    stack, giving (M+1, c, d^2).  A stack shares each step's one product as
+    a stack of matvecs, so every operator gets the bits of a run alone.
     """
     l0, l1 = l_tab[:-1], l_tab[1:]
-    diag = np.arange(x0.size)
+    diag = np.arange(l_tab.shape[-1])
     lm = np.add(l0, l1)
     lm *= 0.5
     lift = np.multiply(l0, 0.5 * h)
@@ -92,11 +99,13 @@ def _rk4_run(l_tab, x0, h):
     prop += l0
     prop *= h / 6.0
     prop[:, diag, diag] += 1.0
-    out = np.empty((len(l_tab), x0.size), dtype=complex)
-    out[0] = vec(x0)
+    one = np.ndim(x0) == 2
+    shape = (diag.size,) if one else (len(x0), diag.size, 1)
+    out = np.empty((len(l_tab),) + shape, dtype=complex)
+    out[0] = np.reshape(x0, shape)
     for i, step in enumerate(prop):
         np.matmul(step, out[i], out=out[i + 1])
-    return out
+    return out if one else out[..., 0]
 
 
 def _validate_state(rho0):
@@ -121,13 +130,23 @@ def _quad_for(grid, N, quad):
 
 
 def _propagate(model, x0, grid, N, quad, path, kind, trace_ref):
-    """RK4 trajectory of ``x0`` under the generator of ``kind``."""
+    """RK4 trajectory of ``x0`` under the generator of ``kind``.
+
+    An adjoint run carries the identity beside ``x0`` for its unitality
+    deviation.
+    """
     quad = _quad_for(grid, N, quad)
     l_tab = generator_table(model, quad, N, path, kind)
     d = model.d_S
-    payload = _rk4_run(l_tab, x0, grid.h).reshape(-1, d, d)
+    unitality_dev = None
+    if kind == ADJOINT:
+        run = _rk4_run(l_tab, np.stack((x0, np.eye(d))), grid.h)
+        payload = run[:, 0].reshape(-1, d, d)
+        unitality_dev = np.linalg.norm(run[:, 1] - vec(np.eye(d)), axis=1)
+    else:
+        payload = _rk4_run(l_tab, x0, grid.h).reshape(-1, d, d)
     return Trajectory(grid.times.copy(), payload,
-                      *_monitors(payload, trace_ref))
+                      *_monitors(payload, trace_ref), unitality_dev)
 
 
 def propagate_state(model, rho0, grid, N, quad=None, path=MATRIX_RECURSION):

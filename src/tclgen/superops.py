@@ -53,20 +53,27 @@ traced and costs no d_E^3 work.  The states of slot k = m-1-L do not
 depend on m: level L of a sweep holds them for all K^L branch strings, and
 its traced top gives every chain of size L+1.  Level 1 is two outer
 products per branch, and each deeper level applies every ``Op_k`` to
-``[E + wb/2 X, E + c/2 D]``.
+``[E + wb/2 X, E + c/2 D]``.  At max_order 2 no deeper level reads the
+level-1 states, so none is built: ``Tr_E[phi_a Op_k(b)[rho_E]] = left_k(b)
+g[a, b] + right_k(b) g[b, a]`` needs only the two-point table ``g[a, b] =
+Tr(phi_a phi_b rho_E)/2``, and ``_pair_traces`` sums it in blocks of 3 K
+d_S^4 grid points, with the earlier blocks carried as one (d_E^2, K d_S^4)
+matrix: O(M (K d_S^4 d_E^2 + d_E^3)) time and no loop over grid points.
 
 * Clusters, K = 2 (the term-expansion path): a MINUS slot is ``A^-
   {phi_j, Y}/2`` and a PLUS slot ``A^+ [phi_j, Y]/2``, as the bath string
   is the flipped system string.  Every suffix state is built once per grid
   point: 2^(N+1) - 8 state applications below level 1 per grid point at
   order N, against (N-3) 2^(N+1) + 8 for one sweep per string (24 against
-  40 at N=4), in O(2^N M (d_S^6 d_E^2 + d_S^4 d_E^3)) time.
+  40 at N=4), in O(2^N M (d_S^6 d_E^2 + d_S^4 d_E^3)) time for N >= 3
+  and O(M (d_S^4 d_E^2 + d_E^3)) at N = 2.
 * Momenta, K = 1 (the matrix-recursion path reads nothing else): mu_n
   sums the clusters of size n, and the chain is linear in every inner
   slot, so one branch applies the sum over both signs, left = A^- + A^+
   and right = A^- - A^+.  Level L gives mu_{L+1} (free) and its
   derivative (pinned) in 2N - 3 state applications per grid point (5 at
-  N=4, 13 at N=8) and O(N M (d_S^6 d_E^2 + d_S^4 d_E^3)) time.
+  N=4, 13 at N=8) and O(N M (d_S^6 d_E^2 + d_S^4 d_E^3)) time for N >= 3,
+  O(M (d_S^4 d_E^2 + d_E^3)) at N = 2.
 
 Gaussian-bath clusters (one evaluation per forward sign string): the bath
 correlator does not factor into slot states, so the later slots are summed
@@ -403,8 +410,11 @@ class GeneratorEngine:
         m1, d2 = self.grid.M + 1, self.d2
         phi, rho = self.ctab.phi_tab, self.ctab.bath.rho_E
         # outer-slot terms X, D, P of every level: traced top on
-        # [E + wb/2 X, E + c/2 D, E + c D], summed after tracing
-        traces = self._level_traces(left, right)
+        # [E + wb/2 X, E + c/2 D, E + c D], summed after tracing; at
+        # max_order 2 no deeper level reads the level-1 states
+        traces = (self._pair_traces(left, right)
+                  if self.quad.max_order == 2
+                  else self._level_traces(left, right))
         counts = [tr.shape[2] for tr in traces]
         terms = np.empty((3, 1 + sum(counts), m1, d2, d2), dtype=complex)
         terms[:, 0] = np.einsum("jab,ba->j", phi, rho)[:, None, None] * lead
@@ -495,6 +505,59 @@ class GeneratorEngine:
                     np.add(lpt, nxt, out=nxt)
                 st[0] += np.multiply(self.wb[j], st[1], out=tmp)
         return traces
+
+    def _pair_traces(self, left, right):
+        """``_level_traces`` of level 1 alone, with no joint state.
+
+        ``Tr_E[phi_a Op_k(b)[rho_E]]`` is ``left_k(b) g[a, b] + right_k(b)
+        g[b, a]`` with ``g[a, b] = Tr(phi_a phi_b rho_E)/2``, so level 1
+        needs only this two-point table, and the grid runs in blocks.  A
+        block's table is one product of ``vec(phi_a)`` with ``vec(Q_b^T)``,
+        ``Q_b = rho_E phi_b/2 = P_b^dagger`` for ``P_b = phi_b rho_E/2``; it
+        gives g transposed, so the partner term needs no second product.
+        Within the block E is one masked matmul of both factors, and X = D =
+        ``g[j, j] (left + right)``.  The earlier blocks add their part of E
+        through one carried (d_E^2, K d^4) matrix, the sum of ``vec(P_b^T)``
+        and ``vec(Q_b^T)`` times the weighted factors, which one GEMM per
+        block updates.  A block of n points costs n^2 d_E^2 for its table
+        and 3 n K d^4 d_E^2 for the carried trace and update, so blocks of
+        3 K d^4 points keep the table no dearer: O(M (K d^4 d_E^2 + d_E^3))
+        time and O(K d^4 d_E^2) extra memory.
+        """
+        m1, d2 = self.grid.M + 1, self.d2
+        phi, rho = self.ctab.phi_tab, self.ctab.bath.rho_E
+        de = rho.shape[0]
+        cols = len(left) * d2 * d2
+        block = 3 * cols
+        # per grid point the rows of every branch's left and right factors
+        fac = np.stack((left, right)).swapaxes(1, 2).reshape(2, m1, cols)
+        out = np.empty((m1, 3, cols), dtype=complex)
+        carry = None
+        for lo in range(0, m1, block):
+            hi = min(lo + block, m1)
+            n = hi - lo
+            rows = phi[lo:hi].reshape(n, -1)
+            prod = phi[lo:hi].reshape(-1, de) @ (0.5 * rho)
+            prod = prod.reshape(n, de, de)
+            # Tr(phi_a Z) = vec(phi_a) . vec(Z^T), and Q_b^T = conj(P_b):
+            # gt[a, b] = Tr(phi_a Q_b) = g[b, a]
+            qt = np.conjugate(prod, out=prod).reshape(n, -1)
+            gt = rows @ qt.T
+            weighted = fac[:, lo:hi] * self.wb[lo:hi, None]
+            weighted = weighted.reshape(2 * n, -1)
+            e = np.hstack((np.tril(gt.T, -1), np.tril(gt, -1))) @ weighted
+            if carry is not None:
+                e += rows @ carry
+            out[lo:hi, 0] = e
+            out[lo:hi, 1] = np.diagonal(gt)[:, None] * (fac[0, lo:hi]
+                                                        + fac[1, lo:hi])
+            out[lo:hi, 2] = out[lo:hi, 1]
+            if hi < m1:
+                # P_b^T = conj(Q_b), the transpose of conj(P_b)
+                pt = np.conjugate(prod.swapaxes(1, 2)).reshape(n, -1)
+                step = pt.T @ weighted[:n] + qt.T @ weighted[n:]
+                carry = step if carry is None else carry + step
+        return [out.reshape(m1, 3, len(left), d2, d2)]
 
     def _kind_sweep(self):
         """Cache every admissible forward exact-bath cluster from one sweep.

@@ -41,6 +41,12 @@ def rand_bath(d=3, beta=0.9):
     return ExactBath(h, phi, rho)
 
 
+def is_stationary(bath, tol=1e-10):
+    """Whether the bath state commutes with H_E."""
+    comm = bath.H_E @ bath.rho_E - bath.rho_E @ bath.H_E
+    return np.linalg.norm(comm) <= tol
+
+
 def chain_by_left_right_expansion(bath, signs, times):
     """Independent oracle: expand every phi^+/- into its two one-sided
     placements and sum the 2^n plain operator products."""
@@ -105,16 +111,27 @@ class TestSpecValidation:
             CorrelationQuery("+-", (0.5, 0.1), kind="sideways")
         CorrelationQuery("+-", (0.5, 0.5))  # ties are the caller's business
 
-    def test_adjoint_needs_stationary_state(self):
-        h = rand_herm(3)
-        rho = np.eye(3, dtype=complex) / 3 + 0.1 * rand_herm(3, 0.1)
+    def test_adjoint_is_the_reversed_signed_chain(self):
+        # on a drifting bath state, D~ is (-1)^(number of MINUS) times the
+        # standard chain of the same factors applied in the opposite order
+        h = rand_herm(4)
+        rho = np.eye(4, dtype=complex) / 4 + 0.1 * rand_herm(4, 0.1)
         rho = rho @ rho.conj().T
         rho /= np.trace(rho)
-        bath = ExactBath(h, rand_herm(3), rho)
-        assert not bath.is_stationary()
-        with pytest.raises(ValueError, match="stationary"):
-            ordered_correlation(bath, CorrelationQuery("+-", (0.5, 0.1),
-                                                       kind=ADJOINT))
+        bath = ExactBath(h, rand_herm(4), rho)
+        assert not is_stationary(bath)
+        for n in range(1, 5):
+            times = tuple(np.sort(rng.uniform(0.0, 2.0, n))[::-1])
+            for signs in itertools.product("+-", repeat=n):
+                signs = "".join(signs)
+                got = ordered_correlation(
+                    bath, CorrelationQuery(signs, times, kind=ADJOINT))
+                x = bath.rho_E
+                for sign, tau in zip(signs, times):
+                    phi = bath.phi_at(tau)
+                    x = 0.5 * (phi @ x + (1 if sign == "+" else -1) * x @ phi)
+                want = (-1) ** signs.count("-") * np.trace(x)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 class TestHeisenbergPhi:

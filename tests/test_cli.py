@@ -383,6 +383,21 @@ class TestSampleConfigs:
                                for f in (tmp_path / name).iterdir()))
         assert len(outs[0]) == 2 and outs[0] == outs[1]
 
+    def test_adjoint_summary_reports_unitality(self, tmp_path):
+        # the adjoint equation preserves the identity, not Tr O: on the
+        # drifting sample |Tr O(t) - Tr O0| reaches 0.1 while the identity
+        # stays put to round-off
+        path = CONFIGS[0].parent / "adjoint_drifting_bath.json"
+        assert main(["propagate", "--config", str(path),
+                     "--out", str(tmp_path / "adj")]) == 0
+        summary = json.loads((tmp_path / "adj" / "summary.json").read_text())
+        assert sorted(summary) == ["adjoint", "max_herm_residual",
+                                   "max_unitality_dev", "order", "task"]
+        assert summary["max_unitality_dev"] <= 1e-13
+        header = (tmp_path / "adj" / "trajectory.csv").read_text().split(
+            "\n", 1)[0].split(",")
+        assert header[-3:] == ["trace_dev", "herm_residual", "min_eig"]
+
     def test_terms_path_is_reproducible_and_matches_matrix(self, config_path,
                                                            tmp_path):
         # the term expansion through the CLI, on the order-6 sample

@@ -12,6 +12,7 @@ from tclgen.oracle import (
 )
 from tclgen.propagate import propagate_observable
 from tclgen.superops import Grid, ModelSpec, QuadratureConfig
+from test_baths import is_stationary
 
 rng = np.random.default_rng(57)
 
@@ -218,7 +219,7 @@ class TestDuality:
     def test_serves_nonstationary_bath(self):
         # the adjoint momenta are Hilbert-Schmidt duals on a drifting bath too
         drifting = random_drifting_bath(3, rng)
-        assert not drifting.is_stationary()
+        assert not is_stationary(drifting)
         model = ModelSpec(rand_herm(2), rand_herm(2), 0.1, drifting)
         quad = QuadratureConfig(Grid(2.0, 80), max_order=3)
         res = duality_check(model, rand_herm(2), rand_state(2), quad)

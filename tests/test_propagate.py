@@ -19,6 +19,7 @@ from tclgen.superops import (
     commutator_super,
     vec,
 )
+from test_baths import is_stationary
 
 rng = np.random.default_rng(41)
 
@@ -140,7 +141,7 @@ def test_observable_guards():
     # a drifting bath is served: the identity stays put, and a Hermitian
     # observable stays Hermitian
     drifting = ExactBath(rand_herm(3), rand_herm(3), rand_state(3))
-    assert not drifting.is_stationary()
+    assert not is_stationary(drifting)
     model2 = ModelSpec(rand_herm(2), rand_herm(2), 0.1, drifting)
     traj = propagate_observable(model2, np.eye(2), grid, 2)
     np.testing.assert_allclose(traj.payload, np.broadcast_to(
@@ -149,6 +150,10 @@ def test_observable_guards():
     traj = propagate_observable(model2, o0, grid, 2)
     assert np.abs(traj.payload[-1] - o0).max() > 1e-3
     assert traj.herm_residual.max() < 1e-12
+    # the identity carried beside o0 is its unitality monitor
+    assert traj.unitality_dev.shape == (21,)
+    assert traj.unitality_dev.max() < 1e-13
+    assert propagate_state(model2, rand_state(2), grid, 2).unitality_dev is None
 
 
 def test_trajectory_invariants_and_csv():
@@ -326,6 +331,16 @@ def test_rk4_propagators_match_the_stagewise_reference(d, M, kind):
         # a trace-preserving table keeps the trace through every step
         np.testing.assert_allclose(got @ vec(np.eye(d)), np.trace(x0),
                                    atol=1e-12)
+
+
+def test_rk4_stack_has_the_bits_of_each_run_alone():
+    gen = np.random.default_rng(9)
+    l_tab = random_generator_table(gen, 2, 40, "adjoint")
+    ops = gen.normal(size=(2, 2, 2)) + 1j * gen.normal(size=(2, 2, 2))
+    got = _rk4_run(l_tab, ops, 0.05)
+    assert got.shape == (41, 2, 4)
+    for k, op in enumerate(ops):
+        assert np.array_equal(got[:, k], _rk4_run(l_tab, op, 0.05))
 
 
 def test_rk4_memory_is_a_few_generator_tables():

@@ -34,6 +34,7 @@ from tclgen.superops import (
     vec,
 )
 from tclgen.terms import ADJOINT, SCHRODINGER, ClusteredTerm, momentum_terms
+from test_baths import is_stationary
 
 rng = np.random.default_rng(23)
 
@@ -279,7 +280,7 @@ class TestGeneratorAssembly:
         # a random bath state, not a function of H_E: the adjoint generator
         # is still the brute tuple sum of its momenta
         bath = ExactBath(rand_herm(3), rand_herm(3), rand_state(3))
-        assert not bath.is_stationary()
+        assert not is_stationary(bath)
         model = ModelSpec(rand_herm(2), rand_herm(2), 0.3, bath)
         quad = QuadratureConfig(Grid(1.0, 10), max_order=2)
         got = assemble_generator(2, 5, model, quad, kind=ADJOINT)
@@ -297,7 +298,7 @@ class TestGeneratorAssembly:
         psi = np.zeros(4)
         psi[:2] = np.sqrt(0.5)
         bath = ExactBath(mode.H_E, mode.phi, np.outer(psi, psi))
-        assert not bath.is_stationary()
+        assert not is_stationary(bath)
         return ModelSpec(0.5 * SZ + 0.2 * SX, SX, 0.3, bath)
 
     @pytest.mark.parametrize("entry", [
@@ -516,6 +517,49 @@ class TestChainSweep:
                 want = brute(eng, signs, pinned, i, kind)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-13,
                                            err_msg=f"{signs} at {i}")
+
+    @pytest.mark.parametrize("M", [10, 95, 96])
+    def test_pair_traces_match_the_joint_state_sweep(self, M, monkeypatch):
+        # at max_order 2 level 1 comes from blocked two-point products, in
+        # blocks of 3 K d_S^4 grid points: 48 for the momenta and 96 for the
+        # clusters at d_S = 2.  M + 1 = 11 is below one block, 96 a whole
+        # number of blocks of both, and 97 one point past that
+        from tclgen.superops import GeneratorEngine
+        gen = np.random.default_rng(70 + M)
+        bath = ExactBath(rand_herm(4, gen=gen), rand_herm(4, gen=gen),
+                         rand_state(4, gen=gen))
+        assert not is_stationary(bath)
+        model = ModelSpec(rand_herm(2, gen=gen), rand_herm(2, gen=gen), 0.4,
+                          bath)
+        grid = Grid(1.5, M)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the other level-1 evaluation ran")
+
+        def values(max_order, other):
+            monkeypatch.setattr(GeneratorEngine, other, forbidden)
+            eng = engine_for(model, QuadratureConfig(grid, max_order))
+            out = {}
+            for kind in (SCHRODINGER, ADJOINT):
+                for n in (1, 2):
+                    for dotted in (False, True):
+                        out["mu", n, kind, dotted] = eng.mu(n, None, kind,
+                                                            dotted)
+                    for path in (MATRIX_RECURSION, TERM_EXPANSION):
+                        out["L", n, kind, path] = eng.generator_order(
+                            n, None, kind, path)
+                    for signs in admissible_signs(n, kind):
+                        for pinned in (False, True):
+                            out[signs, kind, pinned] = eng.cluster_value(
+                                signs, pinned, None, kind)
+            monkeypatch.undo()
+            return out
+
+        pair = values(2, "_level_traces")
+        deep = values(3, "_pair_traces")
+        for key, want in deep.items():
+            err = np.abs(pair[key] - want).max()
+            assert err <= 1e-14 * np.abs(want).max(), (key, err)
 
     def test_gaussian_bath_refuses_more_than_four_slots(self):
         # its slot recursion costs O(M^m) for m slots; the refusal comes
