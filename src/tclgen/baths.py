@@ -7,8 +7,9 @@ are provided: EXACT diagonalizes a finite-dimensional bath and applies the
 chain literally; GAUSSIAN reduces every chain to two-point functions through
 a Wick/Isserlis pairing sum.
 
-The scalar coupling g of the interaction ``g * A x phi`` is folded into phi
-here (phi -> g*phi), so an order-n correlator scales as g^n automatically.
+The scalar coupling g of the interaction ``g * A x phi`` is folded into the
+grid tables by ``correlator_table``: they are built from g*phi (exact), or
+from g^2 C and g m (Gaussian), so an order-n correlator scales as g^n.
 
 Time ordering inside a chain is resolved by the caller: queries list times
 in non-increasing order and ties are evaluated in the listed order (the
@@ -62,7 +63,8 @@ class ExactBath:
 
     ``phi`` already includes the system-bath coupling constant.  The bath is
     immutable and holds read-only copies of its matrices, so engines cached
-    on a model can never see it change.
+    on a model can never see it change.  Each matrix must be Hermitian
+    within ``HERM_TOL``, and its Hermitian part is what is stored.
     """
 
     H_E: np.ndarray
@@ -71,13 +73,16 @@ class ExactBath:
 
     def __post_init__(self):
         for name in ("H_E", "phi", "rho_E"):
-            mat = _frozen_array(getattr(self, name))
-            object.__setattr__(self, name, mat)
+            mat = np.array(getattr(self, name), dtype=complex)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError(f"{name} must be a square matrix")
-            if mat.shape != self.H_E.shape:
+            if mat.shape != np.shape(self.H_E):
                 raise ValueError("bath matrices must share one dimension")
             _check_hermitian(mat, name)
+            # exactly Hermitian, so that (phi rho_E)^dagger = rho_E phi holds
+            # bit for bit; an exactly Hermitian input is kept as it is
+            object.__setattr__(self, name,
+                               _frozen_array((mat + mat.conj().T) / 2))
         if abs(np.trace(self.rho_E) - 1.0) > HERM_TOL:
             raise ValueError("rho_E must have unit trace")
         off = self.rho_E - np.diag(np.diag(self.rho_E))
@@ -266,44 +271,33 @@ def ordered_correlation(bath, query):
 # ---------------------------------------------------------------------------
 
 class _GridTable:
-    """Correlator tables on the grid, one cache for both backends.
+    """Correlator tables on the grid, the same query views for both backends.
 
     A backend supplies ``_chain(signs, idx)``, the standard correlator of a
-    bath-sign string at grid indices that broadcast together.  A table fixes
-    the leading indices to ``prefix`` and leaves the last one or two free; it
-    is built over the whole grid by one ``_chain`` call and cached, so a
-    repeated query returns the same array.
+    bath-sign string at grid indices that broadcast together, from its grid
+    tables, into which ``correlator_table`` folded the coupling g.  Each view
+    fixes the leading indices and builds the table over the one or two free
+    ones with one ``_chain`` call; nothing is cached here, as the engine
+    keeps what it reuses.
     """
 
     def __init__(self, bath, times):
         self.bath = bath
         self.times = np.asarray(times, dtype=float)
-        self._m1 = len(self.times)
-        self._tables = {}      # (signs, prefix) -> (m1,) or (m1, m1) array
-
-    def _table(self, signs, prefix):
-        key = (signs, tuple(prefix))
-        tab = self._tables.get(key)
-        if tab is None:
-            free = len(signs) - len(key[1])
-            if free not in (1, 2):
-                raise ValueError("a table leaves one or two indices free")
-            grid = np.arange(self._m1)
-            tab = self._tables[key] = self._chain(
-                signs, key[1] + np.ix_(*[grid] * free))
-        return tab
+        self._grid = np.arange(len(self.times))
 
     def pair_free(self, signs):
         """Full grid table for a 1- or 2-sign string (leading index first)."""
-        return self._table(signs, ())
+        return self._chain(signs, np.ix_(*[self._grid] * len(signs)))
 
     def triple_slice(self, signs, j1):
         """(M+1, M+1) table over the trailing two indices, first index fixed."""
-        return self._table(signs, (j1,))
+        return self._chain(signs, (j1,) + np.ix_(self._grid, self._grid))
 
     def chain_rows(self, signs, prefix):
         """Table over the one or two grid indices that follow ``prefix``."""
-        return self._table(signs, prefix)
+        free = [self._grid] * (len(signs) - len(prefix))
+        return self._chain(signs, tuple(prefix) + np.ix_(*free))
 
     def value(self, signs, indices):
         return complex(self._chain(signs, tuple(indices)))
@@ -315,9 +309,9 @@ class ExactCorrelatorTable(_GridTable):
     # chain states are built in batches of at most this many matrix elements
     CHUNK = 4_000_000
 
-    def __init__(self, bath, times):
+    def __init__(self, bath, times, g):
         super().__init__(bath, times)
-        self.phi_tab = interaction_picture(bath.H_E, bath.phi, self.times)
+        self.phi_tab = interaction_picture(bath.H_E, g * bath.phi, self.times)
 
     def _chain(self, signs, idx):
         """Chain value with broadcast grid-index arguments.
@@ -354,15 +348,15 @@ class ExactCorrelatorTable(_GridTable):
 class GaussianCorrelatorTable(_GridTable):
     """Correlator lookups on the grid for the GAUSSIAN backend."""
 
-    def __init__(self, bath, times):
+    def __init__(self, bath, times, g):
         super().__init__(bath, times)
-        t, m1 = self.times, self._m1
-        self.cc = _broadcast_values(bath.two_point(t[:, None], t[None, :]),
-                                    (m1, m1))
+        t, m1 = self.times, len(self.times)
+        self.cc = _broadcast_values(
+            g * g * bath.two_point(t[:, None], t[None, :]), (m1, m1))
         if bath.mean is None:
             self.mvec = np.zeros(m1, dtype=complex)
         else:
-            self.mvec = _broadcast_values(bath.mean(t), (m1,))
+            self.mvec = _broadcast_values(g * bath.mean(t), (m1,))
             self.cc -= np.multiply.outer(self.mvec, self.mvec)
 
     def _chain(self, signs, idx):
@@ -385,11 +379,16 @@ class GaussianCorrelatorTable(_GridTable):
     value = _GridTable.value
 
 
-def correlator_table(bath, times):
+def correlator_table(bath, times, g=1.0):
+    """Grid table of ``bath`` on ``times`` with the scalar coupling g folded in.
+
+    The bath itself is not rescaled: an exact table rotates g*phi, and a
+    Gaussian one tabulates g^2 C and g m.
+    """
     if isinstance(bath, ExactBath):
-        return ExactCorrelatorTable(bath, times)
+        return ExactCorrelatorTable(bath, times, g)
     if isinstance(bath, GaussianBath):
-        return GaussianCorrelatorTable(bath, times)
+        return GaussianCorrelatorTable(bath, times, g)
     raise TypeError(f"unsupported bath type {type(bath)!r}")
 
 

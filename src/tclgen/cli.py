@@ -116,6 +116,10 @@ def _parse_bath(cfg, T):
         _require_keys("bath(gaussian)", cfg, ("type",),
                       ("two_point", "two_point_csv", "omega", "beta"))
         if "two_point_csv" in cfg:
+            extra = [k for k in ("two_point", "omega", "beta") if k in cfg]
+            if extra:
+                raise ConfigError("gaussian bath with two_point_csv takes no "
+                                  + ", ".join(extra))
             return baths.GaussianBath(
                 _two_point_from_csv(cfg["two_point_csv"], T))
         if cfg.get("two_point") != "single-mode-thermal":

@@ -90,8 +90,9 @@ call; the weighted box is contracted with the system factors from the
 innermost slot out, one matmul per slot.  A box holds O(j0^(m-1))
 entries, so a free cluster costs O(M^m) time for all endpoints together,
 as much as one endpoint evaluated on its own, and an engine on a Gaussian
-bath refuses a ``max_order`` above ``GAUSSIAN_MAX_SLOTS``.  Only the
-whole-grid pair tables are kept; a box lives for its j0 alone.
+bath refuses a ``max_order`` above ``GAUSSIAN_MAX_SLOTS``.  No
+correlator table is kept: a pair table lives for its cluster, a box for
+its j0 alone.
 
 Expansion objects on whole-grid stacks: a term is the product of its
 cluster stacks, one batched matmul per factor.  The momenta and their
@@ -112,7 +113,6 @@ import numpy as np
 
 from tclgen.baths import (
     ExactBath,
-    GaussianBath,
     _check_hermitian,
     _frozen_array,
     correlator_table,
@@ -209,8 +209,9 @@ class ModelSpec:
     """System matrices plus bath and scalar coupling.
 
     ``bath`` carries the bare coupling operator; the scalar ``g`` is folded
-    into it once per engine so every order-n object scales as g^n.  The spec
-    is immutable (engines are cached per spec); derive variants with
+    into the engine's one grid table of the bath, ``correlator_table(bath,
+    times, g)``, so every order-n object scales as g^n.  The spec is
+    immutable (engines are cached per spec); derive variants with
     ``dataclasses.replace``.
     """
 
@@ -240,20 +241,6 @@ class ModelSpec:
         return self.H_S.shape[0]
 
 
-def scaled_bath(bath, g):
-    """Fold the scalar coupling into the bath operator / kernels."""
-    if isinstance(bath, ExactBath):
-        return ExactBath(bath.H_E, g * bath.phi, bath.rho_E)
-    if isinstance(bath, GaussianBath):
-        two = bath.two_point
-        mean = bath.mean
-        gb = GaussianBath(
-            lambda tau, s: g * g * two(tau, s),
-            None if mean is None else (lambda tau: g * mean(tau)))
-        return gb
-    raise TypeError(f"unsupported bath type {type(bath)!r}")
-
-
 def build_system_superops(model, grid):
     """Tables of A^+(t_j), A^-(t_j) superoperators on the grid.
 
@@ -267,12 +254,9 @@ def build_system_superops(model, grid):
     return {PLUS: lmul + rmul, MINUS: lmul - rmul}
 
 
-def _theta_tilde(m1):
-    th = np.zeros((m1, m1))
-    idx = np.arange(m1)
-    th[idx[:, None] > idx[None, :]] = 1.0
-    th[idx, idx] = 0.5
-    return th
+def _ordering(a, b):
+    """Ordering factor of grid indices a, b: 1 if a > b, 1/2 if tied, else 0."""
+    return (np.sign(a - b) + 1) / 2
 
 
 def _frozen(stack):
@@ -309,10 +293,8 @@ class GeneratorEngine:
         self.quad = quad
         self.grid = quad.grid
         self.a_tab = build_system_superops(model, self.grid)
-        self.ctab = correlator_table(scaled_bath(model.bath, model.g),
-                                     self.grid.times)
+        self.ctab = correlator_table(model.bath, self.grid.times, model.g)
         m1, h = self.grid.M + 1, self.grid.h
-        self.theta = _theta_tilde(m1)
         # trapezoid weights of a grid point: interior wb, endpoint corner c
         self.wb = np.full(m1, h)
         self.wb[0] = 0.5 * h
@@ -606,7 +588,7 @@ class GeneratorEngine:
         cluster of three or more slots is zero (Isserlis) and is not
         evaluated.
         """
-        tab, wb, c, th = self.a_tab, self.wb, self.c, self.theta
+        tab, wb, c = self.a_tab, self.wb, self.c
         dsig = flip_signs(signs)
         m1, d2 = self.grid.M + 1, self.d2
         if len(signs) > 1 and len(signs) % 2 and self.ctab.bath.mean is None:
@@ -631,11 +613,12 @@ class GeneratorEngine:
                 # axes j0 (of length 1), j1, ..., j_{m-1}
                 box = self.ctab._chain(
                     dsig, np.ix_([j0], *[np.arange(n)] * (len(signs) - 1)))
+                th = _ordering(*np.ogrid[:n, :n])
                 # slot 1 follows j0: X and D with theta, P without
-                top = np.vstack([th[j0, :n], np.ones(n)])
+                top = np.vstack([th[j0], np.ones(n)])
                 for w, rows, outs in ((wb[:n], top[:1], (x,)),
                                       (self.weights(j0), top, (d, p))):
-                    ww = w * th[:n, :n]
+                    ww = w * th
                     r = ((box * ww) @ tab[signs[-1]][:n].reshape(n, -1)
                          ).reshape(box.shape[:-1] + (d2, d2))
                     for k in range(len(signs) - 2, 0, -1):
@@ -751,7 +734,7 @@ class GeneratorEngine:
         wgt = np.ones(len(pts))
         for k in range(1, vk.order):
             # no ordering factor between t_i and label 1: a domain edge
-            tie = self.theta[idx[k - 1], idx[k]] if k > 1 else 1.0
+            tie = _ordering(idx[k - 1], idx[k]) if k > 1 else 1.0
             wgt *= w[idx[k]] * tie
         keep = np.flatnonzero(wgt)
         idx, wgt = [j[keep] for j in idx], wgt[keep]

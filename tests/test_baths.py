@@ -82,6 +82,21 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ExactBath(good.H_E, np.eye(2, dtype=complex), good.rho_E)
 
+    def test_exact_bath_stores_hermitian_parts(self):
+        # a matrix Hermitian within HERM_TOL is stored as its Hermitian part,
+        # and an exactly Hermitian one is stored bit for bit
+        good = rand_bath(d=4)
+        phi = rand_herm(4)
+        assert ExactBath(good.H_E, phi, good.rho_E).phi.tobytes() == \
+            phi.tobytes()
+        skew = 1e-13 * 1j * rand_herm(4)
+        bath = ExactBath(good.H_E + skew, good.phi + skew, good.rho_E - skew)
+        for name in ("H_E", "phi", "rho_E"):
+            mat = getattr(bath, name)
+            assert np.array_equal(mat, mat.conj().T)
+            want = getattr(good, name)
+            assert np.abs(mat - want).max() <= 1e-15 * np.abs(want).max()
+
     def test_gaussian_bath_rejects_nonhermitian_kernel(self):
         with pytest.raises(ValueError):
             GaussianBath(lambda tau, s: 1.0 + 1j * (tau + s))
@@ -401,7 +416,7 @@ class TestCorrelatorTables:
             gb, CorrelationQuery("+-", (times[5], times[2])))
         assert abs(pair[5, 2] - want) < 1e-13
 
-    def test_gaussian_tables_are_built_once(self):
+    def test_gaussian_views_are_one_chain_call_each(self):
         gb = GaussianBath(thermal_mode_two_point(1.0, beta=1.2),
                           mean=lambda tau: 0.3)
         times = np.linspace(0, 2.0, 7)
@@ -413,10 +428,7 @@ class TestCorrelatorTables:
                    ("triple_slice", ("+-+", 5)),
                    ("chain_rows", ("+--+", (6, 4, 2)))]
         first = [getattr(tab, meth)(*args) for meth, args in queries]
-        n_built = len(calls)
-        again = [getattr(tab, meth)(*args) for meth, args in queries]
-        assert len(calls) == n_built
-        assert all(a is b for a, b in zip(first, again))
+        assert len(calls) == len(queries)
         want = ordered_correlation(
             gb, CorrelationQuery("+-+", (times[5], times[3], times[1])))
         assert abs(first[2][3, 1] - want) < 1e-13
@@ -424,3 +436,31 @@ class TestCorrelatorTables:
             gb, CorrelationQuery("+--+", (times[6], times[4], times[2],
                                           times[0])))
         assert abs(first[3][0] - want) < 1e-13
+
+    @pytest.mark.parametrize("backend", ["exact", "gaussian", "gaussian-mean"])
+    def test_coupling_is_folded_into_the_tables(self, backend):
+        # the table of a bath with g folded in has the bits of the table of
+        # the explicitly scaled bath
+        g = 0.3
+        times = np.linspace(0, 2.0, 9)
+        if backend == "exact":
+            bath = boson_mode_bath(1.1, 4, beta=0.8, shift=0.6)
+            scaled = ExactBath(bath.H_E, g * bath.phi, bath.rho_E)
+        else:
+            two = thermal_mode_two_point(1.1, beta=0.8)
+            mean = (None if backend == "gaussian"
+                    else lambda tau: 0.4 + 0.2 * np.cos(0.9 * tau))
+            bath = GaussianBath(two, mean=mean)
+            scaled = GaussianBath(
+                lambda tau, s: g * g * two(tau, s),
+                None if mean is None else lambda tau: g * mean(tau))
+        got, want = (correlator_table(b, times, c)
+                     for b, c in ((bath, g), (scaled, 1.0)))
+        names = ("phi_tab",) if backend == "exact" else ("cc", "mvec")
+        for name in names:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        for signs in ("+", "+-", "++"):
+            assert (got.pair_free(signs).tobytes()
+                    == want.pair_free(signs).tobytes())
+        assert got.chain_rows("++-+", (8, 5)).tobytes() == want.chain_rows(
+            "++-+", (8, 5)).tobytes()

@@ -641,6 +641,23 @@ class TestErrorPaths:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("two_point", "nonsense"), ("omega", 1.0), ("beta", 1.0)])
+    def test_two_point_csv_refuses_kernel_keys(self, config_path, tmp_path,
+                                               capsys, key, value):
+        # a sampled kernel has no built-in kernel, frequency or temperature;
+        # these keys used to be ignored silently
+        csv_path = tmp_path / "two_point.csv"
+        csv_path.write_text("\n".join(two_point_rows(np.linspace(0, 2.0, 5)))
+                            + "\n")
+        cfg = csv_bath_config(csv_path, 2.0, M=20)
+        cfg["bath"][key] = value
+        assert main(["propagate", "--config", config_path(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"two_point_csv takes no {key}" in err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "propagate", "compare"])
     def test_gaussian_bath_above_order_four_is_refused(
             self, config_path, tmp_path, capsys, command):

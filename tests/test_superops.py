@@ -391,9 +391,15 @@ class TestClusterQuadratureOracle:
     def brute_cluster(eng, signs, pinned, i, kind):
         import itertools as it
         from tclgen.baths import CorrelationQuery, ordered_correlation
-        from tclgen.superops import scaled_bath
         m = len(signs)
-        bath = scaled_bath(eng.model.bath, eng.model.g)
+        bath, g = eng.model.bath, eng.model.g
+        if isinstance(bath, ExactBath):
+            bath = ExactBath(bath.H_E, g * bath.phi, bath.rho_E)
+        else:
+            two, mean = bath.two_point, bath.mean
+            bath = GaussianBath(
+                lambda tau, s: g * g * two(tau, s),
+                None if mean is None else lambda tau: g * mean(tau))
         w = eng.weights(i)
         times = eng.grid.times
         if kind == ADJOINT:
@@ -413,7 +419,8 @@ class TestClusterQuadratureOracle:
                 wgt *= w[j]
             start = 1 if pinned else 0
             for a, b in zip(idx[start:], idx[start + 1:]):
-                wgt *= eng.theta[a, b]
+                # ordering factor: strictly ordered 1, tied 1/2, else 0
+                wgt *= 1.0 if a > b else 0.5 if a == b else 0.0
             if wgt == 0.0:
                 continue
             dval = ordered_correlation(
@@ -523,7 +530,10 @@ class TestChainSweep:
         # at max_order 2 level 1 comes from blocked two-point products, in
         # blocks of 3 K d_S^4 grid points: 48 for the momenta and 96 for the
         # clusters at d_S = 2.  M + 1 = 11 is below one block, 96 a whole
-        # number of blocks of both, and 97 one point past that
+        # number of blocks of both, and 97 one point past that.  The level-1
+        # table takes rho_E phi_b as (phi_b rho_E)^dagger, so it also runs a
+        # phi that is Hermitian only within HERM_TOL: the bath keeps its
+        # Hermitian part
         from tclgen.superops import GeneratorEngine
         gen = np.random.default_rng(70 + M)
         bath = ExactBath(rand_herm(4, gen=gen), rand_herm(4, gen=gen),
@@ -531,12 +541,16 @@ class TestChainSweep:
         assert not is_stationary(bath)
         model = ModelSpec(rand_herm(2, gen=gen), rand_herm(2, gen=gen), 0.4,
                           bath)
+        skew = 1j * rand_herm(4, gen=gen)
+        skewed = replace(model, bath=ExactBath(
+            bath.H_E, bath.phi + 3e-13 * skew / np.linalg.norm(skew),
+            bath.rho_E))
         grid = Grid(1.5, M)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the other level-1 evaluation ran")
 
-        def values(max_order, other):
+        def values(model, max_order, other):
             monkeypatch.setattr(GeneratorEngine, other, forbidden)
             eng = engine_for(model, QuadratureConfig(grid, max_order))
             out = {}
@@ -555,11 +569,12 @@ class TestChainSweep:
             monkeypatch.undo()
             return out
 
-        pair = values(2, "_level_traces")
-        deep = values(3, "_pair_traces")
-        for key, want in deep.items():
-            err = np.abs(pair[key] - want).max()
-            assert err <= 1e-14 * np.abs(want).max(), (key, err)
+        for case in (model, skewed):
+            pair = values(case, 2, "_level_traces")
+            deep = values(case, 3, "_pair_traces")
+            for key, want in deep.items():
+                err = np.abs(pair[key] - want).max()
+                assert err <= 1e-14 * np.abs(want).max(), (key, err)
 
     def test_gaussian_bath_refuses_more_than_four_slots(self):
         # its slot recursion costs O(M^m) for m slots; the refusal comes
@@ -767,8 +782,23 @@ class TestWholeGridStacks:
             tracemalloc.stop()
         assert np.isfinite(tab).all()
         assert peak < 10 * 2 ** 20
-        tables = engine_for(model, quad).ctab._tables
-        assert all(prefix == () for _, prefix in tables)
+
+    def test_exact_engine_build_memory_is_linear_in_the_grid(self):
+        # an engine on an exact bath keeps O(M) grid tables: no (M+1)^2
+        # table is built, not even for a moment
+        import tracemalloc
+
+        from tclgen.superops import GeneratorEngine
+        model = ModelSpec(0.5 * SZ + 0.2 * SX, SX, 0.3,
+                          boson_mode_bath(1.0, 6, shift=0.7))
+        quad = QuadratureConfig(Grid(5.0, 1600), max_order=2)
+        tracemalloc.start()
+        try:
+            GeneratorEngine(model, quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 1601 ** 2 * 8
 
     @pytest.mark.parametrize("kind", [SCHRODINGER, ADJOINT])
     def test_gaussian_four_slot_cluster_is_one_box_per_outer_time(self,
@@ -784,7 +814,6 @@ class TestWholeGridStacks:
         signs = "-+-+" if kind == SCHRODINGER else "+-+-"
         assert eng.cluster_value(signs, False, None, kind).any()
         assert len(calls) == quad.grid.M + 1
-        assert not eng.ctab._tables
 
     @pytest.mark.parametrize("order", [3, 4])
     @pytest.mark.parametrize("kind", [SCHRODINGER, ADJOINT])
