@@ -42,6 +42,28 @@ def _frozen_array(x):
     return arr
 
 
+def _hermitian_part(mat):
+    """``(X + X^dagger)/2``; an exactly Hermitian X is kept bit for bit."""
+    return (mat + mat.conj().T) / 2
+
+
+def _eigenbasis(H):
+    """Eigenvalues and eigenvectors of a Hermitian H.
+
+    A diagonal H is its own eigenbasis: it keeps its order and its basis,
+    so that a matrix rotated into it keeps its bits.
+    """
+    if (H - np.diag(np.diag(H))).any():
+        return np.linalg.eigh(H)
+    return np.real(np.diag(H)), np.eye(len(H))
+
+
+def _phases(e, times):
+    """``exp(i (e_a - e_b) t)`` for every t in ``times``, shape (T, d, d)."""
+    t = np.asarray(times, dtype=float)
+    return np.exp(1j * np.subtract.outer(e, e)[None] * t[:, None, None])
+
+
 def interaction_picture(H, X, times):
     """``exp(iHt) X exp(-iHt)`` for every t in ``times``, shape (T, d, d).
 
@@ -50,11 +72,9 @@ def interaction_picture(H, X, times):
     eigenbasis and two matrix products, O(T d^3) in all.  Negative times
     give the Schroedinger-picture evolution ``exp(-iHt) X exp(iHt)``.
     """
-    e, v = np.linalg.eigh(H)
+    e, v = _eigenbasis(H)
     vh = v.conj().T
-    t = np.asarray(times, dtype=float)
-    phases = np.exp(1j * np.subtract.outer(e, e)[None] * t[:, None, None])
-    return v @ ((vh @ X @ v) * phases) @ vh
+    return v @ ((vh @ X @ v) * _phases(e, times)) @ vh
 
 
 @dataclass(frozen=True)
@@ -82,7 +102,7 @@ class ExactBath:
             # exactly Hermitian, so that (phi rho_E)^dagger = rho_E phi holds
             # bit for bit; an exactly Hermitian input is kept as it is
             object.__setattr__(self, name,
-                               _frozen_array((mat + mat.conj().T) / 2))
+                               _frozen_array(_hermitian_part(mat)))
         if abs(np.trace(self.rho_E) - 1.0) > HERM_TOL:
             raise ValueError("rho_E must have unit trace")
         off = self.rho_E - np.diag(np.diag(self.rho_E))
@@ -304,14 +324,51 @@ class _GridTable:
 
 
 class ExactCorrelatorTable(_GridTable):
-    """Vectorized correlator lookups keyed by grid indices, EXACT backend."""
+    """Vectorized correlator lookups keyed by grid indices, EXACT backend.
+
+    The table is kept in the eigenbasis of H_E, where each rotation is a
+    phase: ``phi_tab[j] = phi_e * exp(i (e_a - e_b) t_j)`` with ``phi_e``
+    the coupling g*phi in that basis, and ``rho_e`` is rho_E rotated once.
+    Every reader of ``phi_tab`` takes its state from ``rho_e``; a chain is
+    a trace, so its value does not depend on the basis.  Both matrices are
+    exactly Hermitian, and so is each ``phi_tab[j]``, as the phases are
+    exact conjugates of their transposes.  A diagonal H_E keeps its basis,
+    so there the table is the bath's own matrices times the phases.
+    """
 
     # chain states are built in batches of at most this many matrix elements
     CHUNK = 4_000_000
 
     def __init__(self, bath, times, g):
         super().__init__(bath, times)
-        self.phi_tab = interaction_picture(bath.H_E, g * bath.phi, self.times)
+        e, v = _eigenbasis(bath.H_E)
+        vh = v.conj().T
+        phi_e, self.rho_e = (_hermitian_part(vh @ mat @ v)
+                             for mat in (g * bath.phi, bath.rho_E))
+        self.phi_tab = phi_e * _phases(e, self.times)
+
+    def reachable(self, depth):
+        """``(phi_tab, rho_e)`` on the levels a short chain can visit.
+
+        Levels a and b are linked when ``phi_tab[:, a, b]`` is nonzero at
+        some grid time, and only exact zeros count as missing links.  The
+        trace of a chain of n slots on rho_e is a sum over closed walks of
+        n links that start and end on the support of rho_e, so every level
+        it visits lies within n // 2 links of that support.  Keeping the
+        levels within ``depth`` links therefore leaves every chain of at
+        most ``2 depth + 1`` slots exact.  With nothing to drop the table
+        itself is returned, not a copy.
+        """
+        # both matrices are exactly Hermitian, so their patterns are too
+        link = (self.phi_tab != 0).any(axis=0)
+        keep = (self.rho_e != 0).any(axis=0)
+        for _ in range(depth):
+            keep = keep | link[keep].any(axis=0)
+        if keep.all():
+            return self.phi_tab, self.rho_e
+        keep = np.flatnonzero(keep)
+        return (self.phi_tab[:, keep[:, None], keep],
+                self.rho_e[np.ix_(keep, keep)])
 
     def _chain(self, signs, idx):
         """Chain value with broadcast grid-index arguments.
@@ -328,7 +385,7 @@ class ExactCorrelatorTable(_GridTable):
         chunk = max(1, self.CHUNK // self.bath.dim ** 2)
         for lo in range(0, res.size, chunk):
             part = slice(lo, lo + chunk)
-            x = self.bath.rho_E
+            x = self.rho_e
             for sign, j in zip(signs[:0:-1], flat[:0:-1]):
                 x = _apply_phi(phi[j[part]], sign, x)
             # leading '+', traced: Tr[(phi x + x phi)/2] = Tr[phi x]

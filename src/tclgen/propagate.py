@@ -171,10 +171,12 @@ def propagate_observable(model, O0, grid, N, quad=None, path=MATRIX_RECURSION):
 def format_rows(table, fmt):
     """CSV lines of a 2-D table; ``fmt`` lists one %-conversion per column.
 
-    Floats use ``%.12e``, so the output is byte-reproducible.
+    Floats use ``%.12e``, so the output is byte-reproducible.  The whole
+    table is one %-format of one flat tuple, so rendering it allocates no
+    Python object per row.
     """
-    line = ",".join(fmt) + "\n"
-    return "".join(line % tuple(row) for row in np.asarray(table).tolist())
+    table = np.asarray(table)
+    return (",".join(fmt) + "\n") * len(table) % tuple(table.ravel().tolist())
 
 
 def trajectory_to_csv(traj):

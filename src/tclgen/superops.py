@@ -32,9 +32,18 @@ reversed sign string, pinned or free, and the adjoint momenta (and their
 derivatives) are ``(-1)^n dual(mu_n)``: state/observable duality, order by
 order.  L_n is not mapped, as the dual reverses products.
 
-Exact-bath chains (one ``_sweep`` per branch set): a chain of m slots is
-carried from the inside out as running joint system x bath states of
-shape (d^2, d^2, d_E, d_E).  An inner slot at t_j applies the
+Exact-bath chains (one ``_sweep`` per branch set) run in the eigenbasis of
+H_E, on the levels a chain can reach.  Levels a and b are linked when
+``phi_j[a, b]`` is nonzero, and only exact zeros count as missing links.
+A chain of n slots traced on rho_E is a sum over walks of n links that
+start and end on the support of rho_E, so it never visits a level more
+than n // 2 links away.  The engine keeps the d_R <= d_E levels within
+max_order // 2 links (``ExactCorrelatorTable.reachable``) and sweeps
+(phi_j, rho_E) restricted to them, exactly, for every order up to
+max_order: on a vacuum boson mode d_R = min(max_order // 2 + 1, d_E),
+and a bath whose state has full support keeps d_R = d_E.  A chain of m
+slots is carried from the inside out as running joint system x bath
+states of shape (d^2, d^2, d_R, d_R).  An inner slot at t_j applies the
 operator of its branch k, ``Op_k(j)[Y] = left_k(t_j) (phi_j Y)/2 +
 right_k(t_j) (Y phi_j)/2``::
 
@@ -49,7 +58,7 @@ are ``Tr_E X_0``, ``Tr_E D_0`` and ``Tr_E Op_0(j)[E_1(j) + c(j) D_1(j)]``,
 traced before the weighted sums, and the outer-slot sum then gives the
 same iterated trapezoid with tie and edge weights, to round-off.  A
 nonzero cluster has a PLUS outer bath sign, so slot 0 is only needed
-traced and costs no d_E^3 work.  The states of slot k = m-1-L do not
+traced and costs no d_R^3 work.  The states of slot k = m-1-L do not
 depend on m: level L of a sweep holds them for all K^L branch strings, and
 its traced top gives every chain of size L+1.  Level 1 is two outer
 products per branch, and each deeper level applies every ``Op_k`` to
@@ -57,23 +66,23 @@ products per branch, and each deeper level applies every ``Op_k`` to
 level-1 states, so none is built: ``Tr_E[phi_a Op_k(b)[rho_E]] = left_k(b)
 g[a, b] + right_k(b) g[b, a]`` needs only the two-point table ``g[a, b] =
 Tr(phi_a phi_b rho_E)/2``, and ``_pair_traces`` sums it in blocks of 3 K
-d_S^4 grid points, with the earlier blocks carried as one (d_E^2, K d_S^4)
-matrix: O(M (K d_S^4 d_E^2 + d_E^3)) time and no loop over grid points.
+d_S^4 grid points, with the earlier blocks carried as one (d_R^2, K d_S^4)
+matrix: O(M (K d_S^4 d_R^2 + d_R^3)) time and no loop over grid points.
 
 * Clusters, K = 2 (the term-expansion path): a MINUS slot is ``A^-
   {phi_j, Y}/2`` and a PLUS slot ``A^+ [phi_j, Y]/2``, as the bath string
   is the flipped system string.  Every suffix state is built once per grid
   point: 2^(N+1) - 8 state applications below level 1 per grid point at
   order N, against (N-3) 2^(N+1) + 8 for one sweep per string (24 against
-  40 at N=4), in O(2^N M (d_S^6 d_E^2 + d_S^4 d_E^3)) time for N >= 3
-  and O(M (d_S^4 d_E^2 + d_E^3)) at N = 2.
+  40 at N=4), in O(2^N M (d_S^6 d_R^2 + d_S^4 d_R^3)) time for N >= 3
+  and O(M (d_S^4 d_R^2 + d_R^3)) at N = 2.
 * Momenta, K = 1 (the matrix-recursion path reads nothing else): mu_n
   sums the clusters of size n, and the chain is linear in every inner
   slot, so one branch applies the sum over both signs, left = A^- + A^+
   and right = A^- - A^+.  Level L gives mu_{L+1} (free) and its
   derivative (pinned) in 2N - 3 state applications per grid point (5 at
-  N=4, 13 at N=8) and O(N M (d_S^6 d_E^2 + d_S^4 d_E^3)) time for N >= 3,
-  O(M (d_S^4 d_E^2 + d_E^3)) at N = 2.
+  N=4, 13 at N=8) and O(N M (d_S^6 d_R^2 + d_S^4 d_R^3)) time for N >= 3,
+  O(M (d_S^4 d_R^2 + d_R^3)) at N = 2.
 
 Gaussian-bath clusters (one evaluation per forward sign string): the bath
 correlator does not factor into slot states, so the later slots are summed
@@ -294,6 +303,10 @@ class GeneratorEngine:
         self.grid = quad.grid
         self.a_tab = build_system_superops(model, self.grid)
         self.ctab = correlator_table(model.bath, self.grid.times, model.g)
+        if self._exact:
+            # the (phi_j, rho_E) of every sweep: the levels that a chain of
+            # up to max_order slots can visit
+            self.sweep_bath = self.ctab.reachable(quad.max_order // 2)
         m1, h = self.grid.M + 1, self.grid.h
         # trapezoid weights of a grid point: interior wb, endpoint corner c
         self.wb = np.full(m1, h)
@@ -385,12 +398,15 @@ class GeneratorEngine:
         (Y phi_j)/2`` in every inner slot, and the outer slot is the MINUS
         factor A^-.  Returns (S, M+1, d^2, d^2) stacks, S = 1 + K + ... +
         K^(N-1), of every level's chains in turn; within level L the slot-1
-        branch of chain ``idx`` is ``idx % K``.  See the module docstring
-        for the recurrence.
+        branch of chain ``idx`` is ``idx % K``.  (phi_j, rho_E) is
+        ``sweep_bath``, the d_R levels that a chain of max_order slots can
+        visit (a walk of n links from the support of rho_E back to it);
+        dropping the others changes no chain, as only exact zeros of phi_j
+        cut a link.  See the module docstring for the recurrence.
         """
         lead = self.a_tab[MINUS]
         m1, d2 = self.grid.M + 1, self.d2
-        phi, rho = self.ctab.phi_tab, self.ctab.bath.rho_E
+        phi, rho = self.sweep_bath
         # outer-slot terms X, D, P of every level: traced top on
         # [E + wb/2 X, E + c/2 D, E + c D], summed after tracing; at
         # max_order 2 no deeper level reads the level-1 states
@@ -415,14 +431,18 @@ class GeneratorEngine:
         """``Tr_E[phi_j Y]`` of the [E, X, D] states of sweep levels 1..N-1.
 
         One (M+1, 3, K^L, d^2, d^2) array per level L; state ``i`` of level
-        L branches into states ``i K + k`` of level L+1.  The buffers live
+        L branches into states ``i K + k`` of level L+1.  The states live on
+        the d_R reachable levels of ``sweep_bath``: a state of level L may
+        reach further, but its trace with phi_j closes a walk of L + 1 <=
+        max_order links, which stays within the kept levels.  Each level
+        costs O(M K^L (d^6 d_R^2 + d^4 d_R^3)).  The buffers live
         for this call, their views are made before the grid loop, and each
         work view starts at the front of one flat buffer (a reshaped slice
         of a stacked buffer could be a copy, losing an ``out=``).
         """
         nb = len(left)
         m1, d2, top = self.grid.M + 1, self.d2, self.quad.max_order
-        phi, rho = self.ctab.phi_tab, self.ctab.bath.rho_E
+        phi, rho = self.sweep_bath
         de = rho.shape[0]
         shape = (d2, d2, de, de)
         size = d2 * d2 * de * de
@@ -499,15 +519,18 @@ class GeneratorEngine:
         gives g transposed, so the partner term needs no second product.
         Within the block E is one masked matmul of both factors, and X = D =
         ``g[j, j] (left + right)``.  The earlier blocks add their part of E
-        through one carried (d_E^2, K d^4) matrix, the sum of ``vec(P_b^T)``
+        through one carried (d_R^2, K d^4) matrix, the sum of ``vec(P_b^T)``
         and ``vec(Q_b^T)`` times the weighted factors, which one GEMM per
-        block updates.  A block of n points costs n^2 d_E^2 for its table
-        and 3 n K d^4 d_E^2 for the carried trace and update, so blocks of
-        3 K d^4 points keep the table no dearer: O(M (K d^4 d_E^2 + d_E^3))
-        time and O(K d^4 d_E^2) extra memory.
+        block updates.  The bath is ``sweep_bath``: g[a, b] closes a walk of
+        two links on the support of rho_E, so the levels more than one link
+        away are dropped, and only exact zeros of phi_j cut a link.  A block
+        of n points costs n^2 d_R^2 for its table and 3 n K d^4 d_R^2 for
+        the carried trace and update, so blocks of 3 K d^4 points keep the
+        table no dearer: O(M (K d^4 d_R^2 + d_R^3)) time and O(K d^4 d_R^2)
+        extra memory.
         """
         m1, d2 = self.grid.M + 1, self.d2
-        phi, rho = self.ctab.phi_tab, self.ctab.bath.rho_E
+        phi, rho = self.sweep_bath
         de = rho.shape[0]
         cols = len(left) * d2 * d2
         block = 3 * cols

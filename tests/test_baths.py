@@ -407,6 +407,39 @@ class TestCorrelatorTables:
                                    (times[8], times[6], times[3], times[1])))
         assert abs(rows[1] - want) < 1e-13
 
+    def test_exact_table_is_kept_in_the_eigenbasis(self):
+        # a chain is a trace, so it does not see the basis, as long as
+        # rho_E is rotated with phi: a drifting state checks that it is
+        x = rand_herm(4)
+        bath = ExactBath(rand_herm(4), rand_herm(4), x @ x / np.trace(x @ x))
+        times = np.linspace(0, 2.0, 9)
+        tab = correlator_table(bath, times, 0.7)
+        e = np.linalg.eigvalsh(bath.H_E)
+        phases = np.exp(1j * np.subtract.outer(e, e) * times[5])
+        np.testing.assert_allclose(tab.phi_tab[5], tab.phi_tab[0] * phases,
+                                   rtol=0, atol=1e-14)
+        for mat in (*tab.phi_tab, tab.rho_e):
+            assert np.array_equal(mat, mat.conj().T)
+        scaled = ExactBath(bath.H_E, 0.7 * bath.phi, bath.rho_E)
+        rows = tab.chain_rows("+-+", (8,))
+        for a, b in ((5, 2), (8, 0), (3, 3)):
+            want = ordered_correlation(
+                scaled, CorrelationQuery("+-+", tuple(times[[8, a, b]])))
+            assert abs(rows[a, b] - want) < 1e-13
+
+    @pytest.mark.parametrize("bath", [
+        qubit_bath(1.3, beta=0.7, shift=0.5),
+        boson_mode_bath(1.1, 4, beta=0.8, shift=0.6),
+    ], ids=["descending", "ascending"])
+    def test_diagonal_hamiltonian_keeps_its_basis(self, bath):
+        # the qubit's levels are not in ascending order, and still the
+        # table is the rotated coupling of the bath's own basis
+        times = np.linspace(0, 2.0, 9)
+        tab = correlator_table(bath, times, 0.3)
+        assert np.array_equal(
+            tab.phi_tab, interaction_picture(bath.H_E, 0.3 * bath.phi, times))
+        assert tab.rho_e.tobytes() == bath.rho_E.tobytes()
+
     def test_gaussian_table_matches_scalar_path(self):
         gb = GaussianBath(thermal_mode_two_point(1.0, beta=1.2))
         times = np.linspace(0, 2.0, 7)

@@ -722,6 +722,119 @@ class TestMomentumSweep:
             assert np.isfinite(tab).all() and np.abs(tab).max() > 0
 
 
+def reachable_sweep_model(case):
+    """A qubit on an exact bath whose sweep drops none, some or most levels.
+
+    ``vacuum``: a shifted vacuum mode, reduced to max_order // 2 + 1 levels;
+    ``degenerate``: two two-level modes of one frequency in vacuum, H_E =
+    diag(0, 1, 1, 2); ``drifting``: a mode in a superposition of levels 0
+    and 1; ``thermal``: a thermal mode, whose state has full support.
+    """
+    if case == "degenerate":
+        a, eye = np.diag([1.0], k=1), np.eye(2)
+        bath = ExactBath(
+            np.kron(a.T @ a, eye) + np.kron(eye, a.T @ a),
+            np.kron(a + a.T, eye) + 0.6 * np.kron(eye, a + a.T)
+            + 0.4 * np.eye(4),
+            np.diag([1.0, 0.0, 0.0, 0.0]))
+    elif case == "drifting":
+        mode = boson_mode_bath(1.0, 5, shift=0.5)
+        psi = np.zeros(6)
+        psi[:2] = np.sqrt(0.5)
+        bath = ExactBath(mode.H_E, mode.phi, np.outer(psi, psi))
+    else:
+        bath = boson_mode_bath(1.0, 6 if case == "vacuum" else 4,
+                               beta=0.8 if case == "thermal" else None,
+                               shift=0.7)
+    return ModelSpec(0.5 * SZ + 0.2 * SX, SX + 0.3 * SZ, 0.3, bath)
+
+
+def brute_generator_orders(eng, N, i, kind):
+    """L_1..L_N at t_i from brute momenta over the full bath, each once."""
+    mu = {(n, dotted): brute_momentum(eng, n, dotted, i, kind)
+          for n in range(1, N + 1) for dotted in (False, True)}
+    orders = []
+    for n in range(1, N + 1):
+        orders.append(mu[n, True] - sum(orders[n - k - 1] @ mu[k, False]
+                                        for k in range(1, n)))
+    return orders
+
+
+class TestReachableSweep:
+    """The exact-bath sweep runs on the levels a chain can reach, exactly."""
+
+    @pytest.mark.parametrize("case,N", [
+        *[("vacuum", N) for N in range(2, 8)],
+        ("degenerate", 2), ("degenerate", 3),
+        ("drifting", 2), ("drifting", 3), ("drifting", 4),
+        ("thermal", 3), ("thermal", 4),
+    ])
+    def test_generator_orders_match_full_bath_tuple_sums(self, case, N):
+        # brute_cluster sums ordered_correlation over the full bath in its
+        # own basis; the engine sweeps d_R levels of the eigenbasis
+        model = reachable_sweep_model(case)
+        eng = engine_for(model, QuadratureConfig(Grid(0.1 * 2 * N, 2 * N),
+                                                 max_order=N))
+        d_r = len(eng.sweep_bath[1])
+        assert (d_r == model.bath.dim) == (case == "thermal"), d_r
+        i = 2 if N > 5 else 3
+        for kind in (SCHRODINGER, ADJOINT):
+            want = brute_generator_orders(eng, N, i, kind)
+            for n in range(1, N + 1):
+                scale = np.abs(want[n - 1]).max()
+                assert scale > 0
+                for path in (MATRIX_RECURSION, TERM_EXPANSION):
+                    np.testing.assert_allclose(
+                        eng.generator_order(n, i, kind, path), want[n - 1],
+                        rtol=0, atol=1e-13 * scale,
+                        err_msg=f"{kind} {path} n={n}")
+
+    @pytest.mark.parametrize("N", range(2, 7))
+    def test_vacuum_mode_sweeps_half_the_order_plus_one_levels(self, N):
+        eng = engine_for(reachable_sweep_model("vacuum"),
+                         QuadratureConfig(Grid(1.0, 12), max_order=N))
+        phi, rho = eng.sweep_bath
+        assert phi.shape == (13, N // 2 + 1, N // 2 + 1)
+        assert rho.shape == (N // 2 + 1, N // 2 + 1)
+
+    def test_full_support_keeps_the_table_itself(self):
+        eng = engine_for(reachable_sweep_model("thermal"),
+                         QuadratureConfig(Grid(1.0, 12), max_order=6))
+        phi, rho = eng.sweep_bath
+        assert phi is eng.ctab.phi_tab and rho is eng.ctab.rho_e
+        assert rho.shape == (5, 5)
+
+    @pytest.mark.parametrize("variant", ["rotated", "dusted"])
+    def test_only_exact_zeros_cut_a_link(self, variant):
+        # in a randomly rotated basis the eigenbasis of H_E has no exact
+        # zeros in phi or rho_E, and a phi dusted with 1e-15 entries keeps
+        # the eigenbasis and the state but has none in phi: nothing is cut,
+        # and the generator is that of the plain vacuum mode
+        from tclgen.superops import GeneratorEngine
+        model = reachable_sweep_model("vacuum")
+        bath = model.bath
+        gen = np.random.default_rng(31)
+        if variant == "rotated":
+            u, _ = np.linalg.qr(gen.normal(size=(7, 7))
+                                + 1j * gen.normal(size=(7, 7)))
+            other = ExactBath(*(u @ mat @ u.conj().T
+                                for mat in (bath.H_E, bath.phi, bath.rho_E)))
+        else:
+            dust = 1e-15 * rand_herm(7, gen=gen)
+            other = ExactBath(bath.H_E, bath.phi + dust, bath.rho_E)
+        quad = QuadratureConfig(Grid(0.8, 12), max_order=4)
+        eng, full = (GeneratorEngine(m, quad)
+                     for m in (model, replace(model, bath=other)))
+        assert len(eng.sweep_bath[1]) == 3 and len(full.sweep_bath[1]) == 7
+        for kind in (SCHRODINGER, ADJOINT):
+            for path in (MATRIX_RECURSION, TERM_EXPANSION):
+                want = eng.generator(4, None, kind, path)
+                got = full.generator(4, None, kind, path)
+                np.testing.assert_allclose(
+                    got, want, rtol=0, atol=1e-13 * np.abs(want).max(),
+                    err_msg=f"{kind} {path}")
+
+
 class TestWholeGridStacks:
     """The recursion runs on (M+1, d^2, d^2) stacks; single times index them."""
 
