@@ -30,7 +30,13 @@ STANDARD = "standard"
 HERM_TOL = 1e-12
 
 
-def _check_hermitian(mat, name):
+def _check_matrix(mat, name):
+    """Refuse a matrix unless square, finite and Hermitian within HERM_TOL."""
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"{name} must be a square matrix")
+    # before the norms: a NaN norm fails every comparison
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{name} has a non-finite entry")
     if np.linalg.norm(mat - mat.conj().T) > HERM_TOL * max(1.0, np.linalg.norm(mat)):
         raise ValueError(f"{name} is not Hermitian within {HERM_TOL}")
 
@@ -81,10 +87,10 @@ def interaction_picture(H, X, times):
 class ExactBath:
     """Finite-dimensional bath: Hamiltonian, coupling operator, state.
 
-    ``phi`` already includes the system-bath coupling constant.  The bath is
-    immutable and holds read-only copies of its matrices, so engines cached
-    on a model can never see it change.  Each matrix must be Hermitian
-    within ``HERM_TOL``, and its Hermitian part is what is stored.
+    ``phi`` is bare: ``correlator_table`` folds in ``ModelSpec.g``.  The
+    bath is immutable and holds read-only copies of its matrices, so
+    engines cached on a model can never see it change.  Each matrix must
+    be finite and Hermitian within ``HERM_TOL``; its Hermitian part is kept.
     """
 
     H_E: np.ndarray
@@ -94,11 +100,9 @@ class ExactBath:
     def __post_init__(self):
         for name in ("H_E", "phi", "rho_E"):
             mat = np.array(getattr(self, name), dtype=complex)
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise ValueError(f"{name} must be a square matrix")
+            _check_matrix(mat, name)
             if mat.shape != np.shape(self.H_E):
                 raise ValueError("bath matrices must share one dimension")
-            _check_hermitian(mat, name)
             # exactly Hermitian, so that (phi rho_E)^dagger = rho_E phi holds
             # bit for bit; an exactly Hermitian input is kept as it is
             object.__setattr__(self, name,
@@ -454,53 +458,55 @@ def correlator_table(bath, times, g=1.0):
 # ---------------------------------------------------------------------------
 
 def _thermal_occupations(omega, beta, dim):
-    n = np.arange(dim, dtype=float)
     if beta is None or np.isinf(beta):
-        p = np.zeros(dim)
-        p[0] = 1.0
-        return p
-    p = np.exp(-beta * omega * n)
+        return np.eye(dim)[0]
+    # exp of x minus its largest entry (0 if beta omega > 0) cannot overflow
+    x = -beta * omega * np.arange(dim, dtype=float)
+    p = np.exp(x - x.max())
     return p / p.sum()
 
-def boson_mode_bath(omega, n_max, beta=None, g=1.0, shift=0.0):
-    """Single truncated bosonic mode with phi = g*(a + a^dag + shift).
+
+def boson_mode_bath(omega, n_max, *, beta=None, shift=0.0):
+    """Single truncated bosonic mode with phi = a + a^dag + shift.
 
     beta=None (or inf) gives the vacuum; ``shift`` adds a scalar to the
     coupling operator, which turns on odd moments while keeping the state
-    stationary.
+    stationary.  The scalar coupling g is ``ModelSpec.g``.
     """
     dim = n_max + 1
     n = np.arange(dim)
     a = np.diag(np.sqrt(n[1:]), k=1)
     h = omega * np.diag(n.astype(float))
-    phi = g * (a + a.conj().T + shift * np.eye(dim))
+    phi = a + a.conj().T + shift * np.eye(dim)
     rho = np.diag(_thermal_occupations(omega, beta, dim)).astype(complex)
     return ExactBath(h, phi, rho)
 
 
-def qubit_bath(omega, beta=1.0, g=1.0, shift=0.0):
-    """Two-level bath: H_E = omega*sz/2, phi = g*(sx + shift), thermal state."""
+def qubit_bath(omega, *, beta=1.0, shift=0.0):
+    """Two-level bath: H_E = omega*sz/2, phi = sx + shift, thermal state."""
     sz = np.diag([1.0, -1.0]).astype(complex)
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     h = 0.5 * omega * sz
-    phi = g * (sx + shift * np.eye(2))
+    phi = sx + shift * np.eye(2)
     # level 1 is the ground state in the sz/2 convention
     w = _thermal_occupations(omega, beta, 2)
     rho = np.diag([w[1], w[0]]).astype(complex)
     return ExactBath(h, phi, rho)
 
 
-def thermal_mode_two_point(omega, beta=None, g=1.0):
-    """Analytic two-point function of a thermal (or vacuum) bosonic mode."""
+def thermal_mode_two_point(omega, *, beta=None):
+    """Two-point function of a vacuum or thermal (beta omega > 0) boson mode."""
     if beta is None or np.isinf(beta):
         nbar = 0.0
-    else:
+    elif beta * omega > 0:
         nbar = 1.0 / np.expm1(beta * omega)
+    else:
+        raise ValueError("a thermal mode kernel needs beta * omega > 0")
 
     def two_point(tau, s):
         d = tau - s
-        return g * g * ((nbar + 1.0) * np.exp(-1j * omega * d)
-                        + nbar * np.exp(1j * omega * d))
+        return ((nbar + 1.0) * np.exp(-1j * omega * d)
+                + nbar * np.exp(1j * omega * d))
 
     return two_point
 

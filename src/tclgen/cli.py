@@ -384,8 +384,7 @@ def cmd_compare(args, parsed):
     if parsed["rho0"] is None:
         raise ConfigError("compare needs model.rho0")
     err, series = oracle.tcl_vs_exact_error(model, parsed["rho0"], grid,
-                                            parsed["order"], quad=quad,
-                                            return_series=True)
+                                            parsed["order"], quad=quad)
     scaling = None
     if parsed["couplings"]:
         # before any write: a coupling may overflow and be refused

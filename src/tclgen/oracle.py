@@ -80,10 +80,11 @@ def _require_finite(name, traj):
         raise ValueError(f"the {name} trajectory is not finite")
 
 
-def tcl_vs_exact_error(model, rho0, grid, N, quad=None, return_series=False):
-    """max_t trace-norm distance between the truncated and exact dynamics.
+def tcl_vs_exact_error(model, rho0, grid, N, quad=None):
+    """Trace-norm distance between the truncated and exact dynamics.
 
-    An overflowed truncated run is refused before the exact one is computed.
+    Returns its maximum over the grid and the (M+1,) series.  An overflowed
+    truncated run is refused before the exact one is computed.
     """
     tcl = propagate_state(model, rho0, grid, N, quad=quad)
     _require_finite("truncated", tcl)
@@ -91,9 +92,7 @@ def tcl_vs_exact_error(model, rho0, grid, N, quad=None, return_series=False):
     _require_finite("exact", exact)
     series = np.linalg.svd(tcl.payload - exact.payload,
                            compute_uv=False).sum(-1)
-    if return_series:
-        return float(series.max()), series
-    return float(series.max())
+    return float(series.max()), series
 
 
 def scaling_probe(model, rho0, grid, N, couplings):
@@ -107,8 +106,8 @@ def scaling_probe(model, rho0, grid, N, couplings):
         raise ValueError("need at least two couplings")
 
     rows = [{"g": float(g),
-             "err": float(tcl_vs_exact_error(replace(model, g=float(g)),
-                                             rho0, grid, N))}
+             "err": tcl_vs_exact_error(replace(model, g=float(g)),
+                                       rho0, grid, N)[0]}
             for g in couplings]
     for k, row in enumerate(rows):
         row["ratio"] = None

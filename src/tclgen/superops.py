@@ -2,8 +2,9 @@
 
 Vectorization convention (fixed once for the whole package): operators are
 flattened row-major, ``vec(rho) = rho.reshape(-1)``, so left multiplication
-is ``X_L = kron(X, I)`` and right multiplication is ``X_R = kron(I, X.T)``.
-A superoperator is the (d^2, d^2) complex matrix acting on such vectors.
+is ``X_L = kron(X, I)`` and right multiplication is ``X_R = kron(I, X.T)``,
+of one matrix or of each matrix of a stack.  A superoperator is the (d^2,
+d^2) complex matrix acting on such vectors.
 
 Quadrature: all integrals run over the uniform grid restricted to [0, t_i]
 with trapezoid weights per variable; the descending time order inside a
@@ -107,10 +108,8 @@ Expansion objects on whole-grid stacks: a term is the product of its
 cluster stacks, one batched matmul per factor.  The momenta and their
 derivatives come from the momentum sweep on an exact bath and are sums of
 cluster stacks on a Gaussian one, and the orders L_n are batched products
-of momenta; all are cached per (order, kind).  Batched matmul multiplies
-each grid point's matrices with the same product as a single 2-D matmul,
-so a grid index of a stack has the bits of that grid point evaluated
-alone.
+of momenta; all are cached per (order, kind).  The single-time functions
+read one row of a stack.
 """
 
 from __future__ import annotations
@@ -122,7 +121,7 @@ import numpy as np
 
 from tclgen.baths import (
     ExactBath,
-    _check_hermitian,
+    _check_matrix,
     _frozen_array,
     correlator_table,
     interaction_picture,
@@ -132,6 +131,7 @@ from tclgen.terms import (
     MINUS,
     PLUS,
     SCHRODINGER,
+    _check_kind,
     flip_signs,
     generator_terms,
     momentum_derivative_terms,
@@ -152,11 +152,11 @@ def unvec(v, d):
 
 
 def left_mult(x):
-    return np.kron(x, np.eye(x.shape[0]))
+    return np.kron(x, np.eye(x.shape[-1]))
 
 
 def right_mult(x):
-    return np.kron(np.eye(x.shape[0]), x.T)
+    return np.kron(np.eye(x.shape[-1]), np.swapaxes(x, -1, -2))
 
 
 def commutator_super(x):
@@ -233,10 +233,7 @@ class ModelSpec:
         object.__setattr__(self, "H_S", _frozen_array(self.H_S))
         object.__setattr__(self, "A", _frozen_array(self.A))
         for name in ("H_S", "A"):
-            mat = getattr(self, name)
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise ValueError(f"{name} must be square")
-            _check_hermitian(mat, name)
+            _check_matrix(getattr(self, name), name)
         if self.H_S.shape != self.A.shape:
             raise ValueError("H_S and A must share the system dimension")
         if self.d_S < 2:
@@ -256,11 +253,9 @@ def build_system_superops(model, grid):
     Interaction picture: A(tau) = exp(i H_S tau) A exp(-i H_S tau).
     """
     a_t = interaction_picture(model.H_S, model.A, grid.times)
-    d = model.d_S
-    eye = np.eye(d)
-    lmul = np.einsum("tij,kl->tikjl", a_t, eye).reshape(-1, d * d, d * d)
-    rmul = np.einsum("ij,tlk->tikjl", eye, a_t).reshape(-1, d * d, d * d)
-    return {PLUS: lmul + rmul, MINUS: lmul - rmul}
+    # kron gives 0 * x = -0.0 for x < 0; adding +0.0 makes every zero +0.0
+    return {PLUS: anticommutator_super(a_t) + 0.0,
+            MINUS: commutator_super(a_t) + 0.0}
 
 
 def _ordering(a, b):
@@ -279,8 +274,8 @@ class GeneratorEngine:
 
     All evaluation entry points below delegate here.  Clusters, terms,
     momenta and generator orders are evaluated on the whole grid at once,
-    as (M+1, d^2, d^2) stacks; an entry point given a grid index ``i``
-    returns that slice of the stack, and ``i=None`` returns the stack.
+    and each query returns its (M+1, d^2, d^2) stack, which the module's
+    single-time functions index; an unknown ``kind`` is refused.
     Chains are evaluated forward only; ``_dual`` maps them to the adjoint
     kind.  On an exact bath the two generator paths share the slot
     recurrence (``_sweep``): the matrix recursion reads its one-branch
@@ -330,23 +325,18 @@ class GeneratorEngine:
         return w
 
     def _check_index(self, i):
-        if i is not None and not 0 <= i <= self.grid.M:
+        if not 0 <= i <= self.grid.M:
             raise IndexError(f"t_index {i} outside grid 0..{self.grid.M}")
 
-    @staticmethod
-    def _at(stack, i):
-        """Grid index ``i`` of a stack, or the whole stack for ``i=None``."""
-        return stack if i is None else stack[i]
+    def cluster_value(self, signs, pinned, kind):
+        """Ordered quadrature of one cluster, the (M+1, d^2, d^2) stack.
 
-    def cluster_value(self, signs, pinned, i, kind):
-        """Ordered quadrature of one cluster at t_i as a (d^2, d^2) matrix.
-
-        ``i=None`` gives the (M+1, d^2, d^2) stack over every endpoint, all
-        evaluated by the first query.  Forward clusters come from one sweep
-        (exact bath) or one evaluation each (Gaussian bath); an adjoint
-        cluster is the ``_dual`` of the forward one of its reversed signs.
+        Row i is the cluster at t_i; every endpoint is evaluated by the
+        first query.  Forward clusters come from one sweep (exact bath) or
+        one evaluation each (Gaussian bath); an adjoint cluster is the
+        ``_dual`` of the forward one of its reversed signs.
         """
-        self._check_index(i)
+        _check_kind(kind)
         if not 1 <= len(signs) <= self.quad.max_order:
             raise ValueError(f"cluster size {len(signs)} outside "
                              f"1..{self.quad.max_order}")
@@ -354,18 +344,17 @@ class GeneratorEngine:
         if key not in self._clusters:
             if kind == ADJOINT:
                 self._clusters[key] = tuple(self._dual(np.stack([
-                    self.cluster_value(signs[::-1], p, None, SCHRODINGER)
+                    self.cluster_value(signs[::-1], p, SCHRODINGER)
                     for p in (False, True)]), len(signs)))
             elif signs[0] != MINUS:
                 # inadmissible: a leading MINUS bath sign traces to zero
-                return self._at(np.zeros((self.grid.M + 1, self.d2, self.d2),
-                                         dtype=complex), i)
+                return np.zeros_like(self.a_tab[MINUS])
             elif self._exact:
                 self._kind_sweep()
             else:
                 self._clusters[key] = tuple(map(_frozen,
                                                 self._gaussian_cluster(signs)))
-        return self._at(self._clusters[key][pinned], i)
+        return self._clusters[key][pinned]
 
     def _dual(self, stack, n):
         """The adjoint-kind stack ``(-1)^n dual(stack)`` of order n.
@@ -655,15 +644,14 @@ class GeneratorEngine:
 
     # -- expansion objects on the whole grid ----------------------------
 
-    def term_value(self, term, i=None):
-        """One symbolic term at t_i, or its stack over the grid (``i=None``).
+    def term_value(self, term):
+        """One symbolic term as its stack over the grid.
 
         The cluster factors multiply as stacks, one batched matmul each.
         """
         if term.order > self.quad.max_order:
             raise ValueError(f"term order {term.order} exceeds max_order "
                              f"{self.quad.max_order}")
-        self._check_index(i)
         if term.order == 0:
             out = np.broadcast_to(np.eye(self.d2, dtype=complex),
                                   (self.grid.M + 1, self.d2, self.d2))
@@ -671,18 +659,18 @@ class GeneratorEngine:
             out = None
             for k, block in enumerate(term.cluster_signs()):
                 stack = self.cluster_value(block, term.pinned and k == 0,
-                                           None, term.kind)
+                                           term.kind)
                 out = stack if out is None else out @ stack
-        return self._at(term.coeff * out, i)
+        return term.coeff * out
 
-    def mu(self, n, i=None, kind=SCHRODINGER, dotted=False):
-        """The n-th momentum (or its derivative) at t_i, or its stack.
+    def mu(self, n, kind=SCHRODINGER, dotted=False):
+        """The stack of the n-th momentum, or of its derivative.
 
         An exact bath gets every forward momentum from one
         ``_momentum_sweep``; a Gaussian bath sums its forward cluster terms.
         The adjoint momentum is the ``_dual`` of the forward one.
         """
-        self._check_index(i)
+        _check_kind(kind)
         if not 1 <= n <= self.quad.max_order:
             raise ValueError(f"momentum order {n} outside "
                              f"1..{self.quad.max_order}")
@@ -690,21 +678,20 @@ class GeneratorEngine:
         if key not in self._mu:
             if kind == ADJOINT:
                 self._mu[key] = self._dual(
-                    self.mu(n, None, SCHRODINGER, dotted), n)
+                    self.mu(n, SCHRODINGER, dotted), n)
             elif self._exact:
                 self._momentum_sweep()
             else:
                 make = momentum_derivative_terms if dotted else momentum_terms
                 self._mu[key] = _frozen(sum(self.term_value(t)
                                             for t in make(n, kind)))
-        return self._at(self._mu[key], i)
+        return self._mu[key]
 
-    def generator_order(self, n, i=None, kind=SCHRODINGER,
-                        path=MATRIX_RECURSION):
-        """The n-th expansion coefficient L_n(t_i) without its i^n weight."""
+    def generator_order(self, n, kind=SCHRODINGER, path=MATRIX_RECURSION):
+        """The stack of the n-th expansion coefficient L_n, no i^n weight."""
+        _check_kind(kind)
         if path not in (TERM_EXPANSION, MATRIX_RECURSION):
             raise ValueError(f"unknown generator path {path!r}")
-        self._check_index(i)
         key = (n, kind, path)
         val = self._gen.get(key)
         if val is None:
@@ -712,22 +699,21 @@ class GeneratorEngine:
                 val = sum(self.term_value(t)
                           for t in generator_terms(n, kind))
             else:
-                val = self.mu(n, None, kind, dotted=True).copy()
+                val = self.mu(n, kind, dotted=True).copy()
                 for k in range(1, n):
-                    val -= (self.generator_order(n - k, None, kind)
-                            @ self.mu(k, None, kind))
+                    val -= self.generator_order(n - k, kind) @ self.mu(k, kind)
             self._gen[key] = _frozen(val)
-        return self._at(val, i)
+        return val
 
-    def generator(self, levels, i=None, kind=SCHRODINGER,
-                  path=MATRIX_RECURSION):
-        """Truncated generator: sum of (-i)^n L_n (or i^n for the adjoint)."""
-        self._check_index(i)
+    def generator(self, N, kind=SCHRODINGER, path=MATRIX_RECURSION):
+        """The stack of sum_{n <= N} (-i)^n L_n (i^n L_n for the adjoint)."""
+        if not 1 <= N <= self.quad.max_order:
+            raise ValueError(f"N must be in 1..{self.quad.max_order}")
         base = 1j if kind == ADJOINT else -1j
         out = np.zeros((self.grid.M + 1, self.d2, self.d2), dtype=complex)
-        for n in range(1, levels + 1):
-            out += base ** n * self.generator_order(n, None, kind, path)
-        return self._at(out, i)
+        for n in range(1, N + 1):
+            out += base ** n * self.generator_order(n, kind, path)
+        return out
 
     # -- Van Kampen evaluation ------------------------------------------
 
@@ -788,25 +774,30 @@ def engine_for(model, quad):
     return entry[1]
 
 
+def _row(t_index, model, quad, query, *args):
+    """Row ``t_index``, checked first, of the engine stack ``query(*args)``."""
+    engine = engine_for(model, quad)
+    engine._check_index(t_index)
+    return getattr(engine, query)(*args)[t_index]
+
+
 def evaluate_term(term, t_index, model, quad):
     """Numeric value of one symbolic term at grid time t_index."""
-    return engine_for(model, quad).term_value(term, t_index)
+    return _row(t_index, model, quad, "term_value", term)
 
 
 def evaluate_mu(n, t_index, model, quad, kind=SCHRODINGER):
-    return engine_for(model, quad).mu(n, t_index, kind)
+    return _row(t_index, model, quad, "mu", n, kind)
 
 
 def evaluate_mu_dot(n, t_index, model, quad, kind=SCHRODINGER):
-    return engine_for(model, quad).mu(n, t_index, kind, dotted=True)
+    return _row(t_index, model, quad, "mu", n, kind, True)
 
 
 def assemble_generator(N, t_index, model, quad, path=MATRIX_RECURSION,
                        kind=SCHRODINGER):
     """Truncated generator at one grid time, by either assembly path."""
-    if not 1 <= N <= quad.max_order:
-        raise ValueError(f"N must be in 1..{quad.max_order}")
-    return engine_for(model, quad).generator(N, t_index, kind, path)
+    return _row(t_index, model, quad, "generator", N, kind, path)
 
 
 def generator_table(model, quad, N, path=MATRIX_RECURSION, kind=SCHRODINGER):
@@ -814,9 +805,7 @@ def generator_table(model, quad, N, path=MATRIX_RECURSION, kind=SCHRODINGER):
 
     Either kind is served by the one engine of (model, quad).
     """
-    if not 1 <= N <= quad.max_order:
-        raise ValueError(f"N must be in 1..{quad.max_order}")
-    return engine_for(model, quad).generator(N, None, kind, path)
+    return engine_for(model, quad).generator(N, kind, path)
 
 
 def evaluate_vk_generator(n, t_index, model, quad):

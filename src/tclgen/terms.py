@@ -54,6 +54,11 @@ def _check_signs(signs):
         raise ValueError(f"invalid sign string {signs!r}")
 
 
+def _check_kind(kind):
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class ClusteredTerm:
     """One symbolic summand: sign pattern, clustering, integer coefficient.
@@ -72,8 +77,7 @@ class ClusteredTerm:
 
     def __post_init__(self):
         _check_signs(self.signs)
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
+        _check_kind(self.kind)
         if any(c < 1 for c in self.clusters):
             raise ValueError("cluster sizes must be positive")
         if sum(self.clusters) != len(self.signs):

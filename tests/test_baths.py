@@ -82,6 +82,52 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ExactBath(good.H_E, np.eye(2, dtype=complex), good.rho_E)
 
+    @pytest.mark.parametrize("name", ["H_E", "phi", "rho_E"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_exact_bath_refuses_non_finite_entries(self, name, value):
+        # a NaN norm fails no comparison, so the Hermitian check alone
+        # would let it through
+        good = boson_mode_bath(1.0, 3, beta=1.0)
+        mats = {k: np.array(getattr(good, k)) for k in ("H_E", "phi", "rho_E")}
+        mats[name][1, 1] = value
+        with pytest.raises(ValueError, match=f"{name} has a non-finite"):
+            ExactBath(mats["H_E"], mats["phi"], mats["rho_E"])
+
+    def test_inverted_mode_states_do_not_overflow(self):
+        # beta omega < 0 is a valid inverted state; at -1000 the plain
+        # Boltzmann weights overflow to inf
+        mode = boson_mode_bath(1.0, 6, beta=-1000.0)
+        np.testing.assert_array_equal(np.diag(mode.rho_E),
+                                      [0, 0, 0, 0, 0, 0, 1])
+        qubit = qubit_bath(1.0, beta=-1000.0)
+        np.testing.assert_array_equal(np.diag(qubit.rho_E), [1, 0])
+        # beta omega > 0 keeps the bits of the plain Boltzmann weights
+        for beta, omega in ((0.7, 1.3), (-0.4, -2.0)):
+            p = np.exp(-beta * omega * np.arange(7.0))
+            got = np.real(np.diag(boson_mode_bath(omega, 6,
+                                                  beta=beta).rho_E))
+            assert got.tobytes() == (p / p.sum()).tobytes()
+
+    def test_thermal_kernel_needs_positive_beta_omega(self):
+        # at beta omega = 0 the occupation diverges, below it is negative
+        # and C(t, t) < 0
+        for beta, omega in ((0.0, 1.0), (-1.0, 1.0), (1.0, -1.0)):
+            with pytest.raises(ValueError, match="beta \\* omega > 0"):
+                thermal_mode_two_point(omega, beta=beta)
+        for beta in (None, np.inf, 1.0):
+            assert thermal_mode_two_point(1.0, beta=beta)(0.3, 0.3).real > 0
+
+    def test_builders_take_beta_and_shift_by_keyword(self):
+        # the coupling constant is ModelSpec.g alone; beta and shift are
+        # keyword-only, so a call that passed g by position is refused
+        # rather than read as a shift
+        for call in (lambda: boson_mode_bath(1.0, 6, 1.0),
+                     lambda: boson_mode_bath(1.0, 6, None, 0.5),
+                     lambda: qubit_bath(1.0, 1.0),
+                     lambda: thermal_mode_two_point(1.0, 1.0)):
+            with pytest.raises(TypeError):
+                call()
+
     def test_exact_bath_stores_hermitian_parts(self):
         # a matrix Hermitian within HERM_TOL is stored as its Hermitian part,
         # and an exactly Hermitian one is stored bit for bit

@@ -671,6 +671,30 @@ class TestErrorPaths:
         assert "at most 4 slots" in lines[0]
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    def test_thermal_kernel_refuses_non_positive_beta(
+            self, config_path, tmp_path, capsys, recwarn, beta):
+        # at beta = 0 the occupation 1/expm1(0) diverges, and below it the
+        # kernel has C(t, t) < 0
+        cfg = dephasing_config(grid={"T": 2.0, "M": 20})
+        cfg["bath"] = {"type": "gaussian", "two_point": "single-mode-thermal",
+                       "omega": 1.0, "beta": beta}
+        assert main(["propagate", "--config", config_path(cfg),
+                     "--out", str(tmp_path / "x")]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("validation error:")
+        assert "beta * omega > 0" in lines[0]
+        assert not recwarn.list
+        assert not (tmp_path / "x").exists()
+
+    def test_inverted_boson_mode_runs(self, config_path, tmp_path):
+        # the plain Boltzmann weights overflow at beta omega = -1000
+        cfg = dephasing_config(grid={"T": 1.0, "M": 20})
+        cfg["bath"] = {"type": "boson-mode", "omega": 1.0, "n_max": 2,
+                       "beta": -1000}
+        assert main(["evaluate", "--config", config_path(cfg),
+                     "--out", str(tmp_path / "x")]) == 0
+
     @pytest.mark.parametrize("command,g,couplings", [
         ("evaluate", 1e200, None), ("propagate", 1e200, None),
         ("compare", 1e200, None), ("compare", 0.05, [0.05, 1e200]),

@@ -283,8 +283,7 @@ class TestDuality:
 
 def test_tcl_vs_exact_error_series_shape():
     model, rho0 = dephasing_setup(g=0.1)
-    err, series = tcl_vs_exact_error(model, rho0, Grid(2.0, 80), 2,
-                                     return_series=True)
+    err, series = tcl_vs_exact_error(model, rho0, Grid(2.0, 80), 2)
     assert series.shape == (81,)
     assert err == pytest.approx(series.max())
     assert series[0] == pytest.approx(0.0, abs=1e-13)

@@ -40,7 +40,7 @@ class Case:
     gen: np.random.Generator
 
     def orders(self, kind, path=MATRIX_RECURSION):
-        return [self.engine.generator_order(n, None, kind, path)
+        return [self.engine.generator_order(n, kind, path)
                 for n in range(1, self.order + 1)]
 
 
@@ -139,8 +139,8 @@ def test_momentum_duality_at_every_order(case):
     x = _herm(case.gen, case.d_s) + 2 * case.d_s * np.eye(case.d_s)
     rho = x / np.trace(x)
     for n in range(1, case.order + 1):
-        mu = case.engine.mu(n, None, SCHRODINGER)
-        mu_adj = case.engine.mu(n, None, ADJOINT)
+        mu = case.engine.mu(n, SCHRODINGER)
+        mu_adj = case.engine.mu(n, ADJOINT)
         lhs = (-1j) ** n * (mu @ vec(rho)) @ vec(obs.T)
         rhs = 1j ** n * (mu_adj @ vec(obs)) @ vec(rho.T)
         assert np.abs(lhs - rhs).max() <= RTOL * _scale(mu, mu_adj) * _scale(
@@ -158,9 +158,8 @@ def test_momenta_match_the_cluster_sums(case):
     for kind in (SCHRODINGER, ADJOINT):
         for n in range(1, case.order + 1):
             for dotted in (False, True):
-                want = sum(t.coeff * eng.cluster_value(t.signs, dotted, None,
-                                                       kind)
+                want = sum(t.coeff * eng.cluster_value(t.signs, dotted, kind)
                            for t in momentum_terms(n, kind))
                 np.testing.assert_allclose(
-                    eng.mu(n, None, kind, dotted), want, rtol=0,
+                    eng.mu(n, kind, dotted), want, rtol=0,
                     atol=1e-13 * np.abs(want).max())
