@@ -159,6 +159,11 @@ class GaussianBath:
         except (TypeError, ValueError) as exc:
             raise ValueError("two_point and mean must accept NumPy arrays "
                              "of times and broadcast them") from exc
+        # before the comparisons below, which NaN fails silently
+        if not all(np.isfinite(v).all()
+                   for v in (grid, means, single, single_means)):
+            raise ValueError("two_point and mean must be finite on the "
+                             "sampled times")
         scale = 1e-9 * max(1.0, np.abs(grid).max())
         if (np.abs(grid - single).max() > scale
                 or np.abs(means - single_means).max() > scale):
@@ -458,20 +463,28 @@ def correlator_table(bath, times, g=1.0):
 # ---------------------------------------------------------------------------
 
 def _thermal_occupations(omega, beta, dim):
-    if beta is None or np.isinf(beta):
+    if beta is None or beta == np.inf:
         return np.eye(dim)[0]
-    # exp of x minus its largest entry (0 if beta omega > 0) cannot overflow
-    x = -beta * omega * np.arange(dim, dtype=float)
-    p = np.exp(x - x.max())
+    if beta == -np.inf:
+        # the beta -> -inf limit: all weight on the levels of largest
+        # omega n (the top level for omega > 0, the fully inverted state)
+        x = omega * np.arange(dim, dtype=float)
+        p = (x == x.max()).astype(float)
+    else:
+        # exp of x minus its largest entry (0 if beta omega > 0) cannot
+        # overflow
+        x = -beta * omega * np.arange(dim, dtype=float)
+        p = np.exp(x - x.max())
     return p / p.sum()
 
 
 def boson_mode_bath(omega, n_max, *, beta=None, shift=0.0):
     """Single truncated bosonic mode with phi = a + a^dag + shift.
 
-    beta=None (or inf) gives the vacuum; ``shift`` adds a scalar to the
-    coupling operator, which turns on odd moments while keeping the state
-    stationary.  The scalar coupling g is ``ModelSpec.g``.
+    beta=None (or +inf) gives the vacuum and beta=-inf the fully inverted
+    state; ``shift`` adds a scalar to the coupling operator, which turns on
+    odd moments while keeping the state stationary.  The scalar coupling g
+    is ``ModelSpec.g``.
     """
     dim = n_max + 1
     n = np.arange(dim)
@@ -495,8 +508,12 @@ def qubit_bath(omega, *, beta=1.0, shift=0.0):
 
 
 def thermal_mode_two_point(omega, *, beta=None):
-    """Two-point function of a vacuum or thermal (beta omega > 0) boson mode."""
-    if beta is None or np.isinf(beta):
+    """Two-point function of a vacuum or thermal (beta omega > 0) boson mode.
+
+    beta=None or +inf is the vacuum; -inf, like any beta omega <= 0, is
+    refused.
+    """
+    if beta is None or beta == np.inf:
         nbar = 0.0
     elif beta * omega > 0:
         nbar = 1.0 / np.expm1(beta * omega)

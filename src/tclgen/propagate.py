@@ -110,6 +110,9 @@ def _rk4_run(l_tab, x0, h):
 
 def _validate_state(rho0):
     rho0 = np.asarray(rho0, dtype=complex)
+    # before the tolerance checks, which NaN fails silently
+    if not np.isfinite(rho0).all():
+        raise ValueError("rho0 must be finite")
     if np.linalg.norm(rho0 - rho0.conj().T) > PSD_TOL:
         raise ValueError("rho0 must be Hermitian")
     if abs(np.trace(rho0) - 1.0) > PSD_TOL:
@@ -160,6 +163,8 @@ def propagate_state(model, rho0, grid, N, quad=None, path=MATRIX_RECURSION):
 def propagate_observable(model, O0, grid, N, quad=None, path=MATRIX_RECURSION):
     """Integrate the adjoint equation for an observable."""
     O0 = np.asarray(O0, dtype=complex)
+    if not np.isfinite(O0).all():
+        raise ValueError("O0 must be finite")
     if np.linalg.norm(O0 - O0.conj().T) > PSD_TOL:
         raise ValueError("O0 must be Hermitian")
     if O0.shape[0] != model.d_S:

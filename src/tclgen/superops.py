@@ -63,7 +63,10 @@ traced and costs no d_R^3 work.  The states of slot k = m-1-L do not
 depend on m: level L of a sweep holds them for all K^L branch strings, and
 its traced top gives every chain of size L+1.  Level 1 is two outer
 products per branch, and each deeper level applies every ``Op_k`` to
-``[E + wb/2 X, E + c/2 D]``.  At max_order 2 no deeper level reads the
+``[E + wb/2 X, E + c/2 D]``.  The levels run over blocks of grid points,
+as many as fit a cache-sized buffer budget: each step is one batched NumPy
+call per block, about a dozen per level, and only the running sum E takes
+one call per point and level.  At max_order 2 no deeper level reads the
 level-1 states, so none is built: ``Tr_E[phi_a Op_k(b)[rho_E]] = left_k(b)
 g[a, b] + right_k(b) g[b, a]`` needs only the two-point table ``g[a, b] =
 Tr(phi_a phi_b rho_E)/2``, and ``_pair_traces`` sums it in blocks of 3 K
@@ -141,6 +144,10 @@ from tclgen.terms import (
 
 TERM_EXPANSION = "term_expansion"
 MATRIX_RECURSION = "matrix_recursion"
+
+# complex elements (2 MiB) of the buffers of one block of grid points in
+# the exact-bath sweep: few enough to stay in a core's cache
+_SWEEP_BLOCK = 2 ** 17
 
 
 def vec(rho):
@@ -238,9 +245,12 @@ class ModelSpec:
             raise ValueError("H_S and A must share the system dimension")
         if self.d_S < 2:
             raise ValueError("system dimension must be >= 2")
-        if np.imag(complex(self.g)) != 0.0:
+        g = complex(self.g)
+        if g.imag != 0.0:
             raise ValueError("coupling g must be real")
-        object.__setattr__(self, "g", float(np.real(complex(self.g))))
+        if not np.isfinite(g):
+            raise ValueError("coupling g must be finite")
+        object.__setattr__(self, "g", g.real)
 
     @property
     def d_S(self):
@@ -424,77 +434,127 @@ class GeneratorEngine:
         the d_R reachable levels of ``sweep_bath``: a state of level L may
         reach further, but its trace with phi_j closes a walk of L + 1 <=
         max_order links, which stays within the kept levels.  Each level
-        costs O(M K^L (d^6 d_R^2 + d^4 d_R^3)).  The buffers live
-        for this call, their views are made before the grid loop, and each
-        work view starts at the front of one flat buffer (a reshaped slice
-        of a stacked buffer could be a copy, losing an ``out=``).
+        costs O(M K^L (d^6 d_R^2 + d^4 d_R^3)).
+
+        The grid runs in blocks of points, each level of a block in one
+        batch: every buffer has a leading block axis, and each per-point
+        product is one GEMM of a batched matmul.  A block holds as many
+        points (at least one) as fit ``_SWEEP_BLOCK`` complex elements of
+        state buffers, (8 K^(N-2) + 3 (K + ... + K^(N-1))) d^4 d_R^2 per
+        point.  Row 0 of a level's E holds the sum carried from the earlier
+        blocks, and each later row adds wb X of the point before it to the
+        row above, one add per point and level: ``cumsum`` over the block
+        axis would run one inner loop per state element.  Every sum is
+        thus formed in grid order, as with one point per block, and the
+        traces do not depend on the block length to the last bit.  The
+        buffers live for this call, the views of a block length are made
+        once, and each work view starts at the front of one flat buffer (a
+        reshaped slice of a stacked buffer could be a copy, losing an
+        ``out=``).
         """
         nb = len(left)
         m1, d2, top = self.grid.M + 1, self.d2, self.quad.max_order
+        counts = [nb ** lv for lv in range(1, top)]
+        if not counts:
+            return []
         phi, rho = self.sweep_bath
         de = rho.shape[0]
         shape = (d2, d2, de, de)
         size = d2 * d2 * de * de
+        # block buffers per grid point: 8 K^(N-2) work states and the
+        # [E, X, D] states of every level
+        work_size = 8 * nb ** (top - 2) * size
+        blk = max(1, min(m1, _SWEEP_BLOCK
+                         // (work_size + 3 * sum(counts) * size)))
         # per grid point: both factors of every branch as one (K d^2 d^2, 2)
         # matrix for level 1, and each side alone for the deeper levels
         both = np.ascontiguousarray(
-            np.stack((left, right), -1).swapaxes(0, 1))
-        left, right = (np.ascontiguousarray(f.swapaxes(0, 1))
+            np.stack((left, right), -1).swapaxes(0, 1)).reshape(m1, -1, 2)
+        left, right = (np.ascontiguousarray(f.swapaxes(0, 1))[:, None, None]
                        for f in (left, right))
-        halves = 0.5 * np.stack((self.wb, self.c), -1)
-        counts = [nb ** lv for lv in range(1, top)]
-        states = [np.zeros((3, n) + shape, dtype=complex) for n in counts]
+        halves = 0.5 * np.stack((self.wb, self.c), -1)[(...,) + (None,) * 5]
+        wb = self.wb[(slice(None),) + (None,) * 5]
+        # row b of a level: [E, X, D] of the block's point b
+        states = [np.zeros((blk, 3, n) + shape, dtype=complex)
+                  for n in counts]
         traces = [np.empty((m1, 3, n, d2, d2), dtype=complex)
                   for n in counts]
-        work = np.empty(8 * nb ** max(top - 2, 0) * size, dtype=complex)
-        pair = np.empty((2, de, de), dtype=complex)
-        levels = []
-        for lv, (st, tr) in enumerate(zip(states, traces)):
-            n = counts[lv]
-            step = None
-            if lv + 2 < top:
-                # Op_k on y = [E + wb/2 X, E + c/2 D]: y, its bath
-                # transpose, p = (phi y/2)^T and q = y phi/2 take 8n states;
-                # the left products reuse the front, the right ones go to
-                # the next level's X and D, and the two sum there
-                y, yt, p, q = (work[k * 2 * n * size:(k + 1) * 2 * n * size]
-                               for k in range(4))
-                lp = work[:2 * n * nb * size]
-                nxt = states[lv + 1][1:]
-                step = (y.reshape((2, n) + shape), y.reshape(-1, de),
-                        yt.reshape((2, n) + shape), yt.reshape(-1, de),
-                        p.reshape(-1, de), q.reshape(-1, de),
-                        p.reshape(2, n, 1, d2, -1), q.reshape(2, n, 1, d2, -1),
-                        lp.reshape(2, n, nb, d2, -1),
-                        lp.reshape((2, n, nb) + shape).swapaxes(-1, -2),
-                        nxt.reshape(2, n, nb, d2, -1),
-                        nxt.reshape((2, n, nb) + shape))
-            levels.append((st, st[1:], st.reshape(-1, de * de),
-                           tr.reshape(m1, -1),
-                           work[:n * size].reshape((n,) + shape), step))
-        for j in range(m1 if top > 1 else 0):
-            half = 0.5 * phi[j]
-            phi_t = phi[j].T.reshape(-1)
+        work = np.empty(blk * work_size, dtype=complex)
+        # phi_j/2, phi_j^T and the level-1 pair of the block's points
+        bath = np.empty((blk, 4, de, de), dtype=complex)
+
+        def views(b):
+            """The buffer views of a block of b points."""
+            levels = []
+            for lv, (st, tr, n) in enumerate(zip(states, traces, counts)):
+                step = None
+                if lv + 2 < top:
+                    # Op_k on y = [E + wb/2 X, E + c/2 D]: y, its bath
+                    # transpose, p = (phi y/2)^T and q = y phi/2 take 8n
+                    # states a point; the left products reuse the front,
+                    # the right ones go to the next level's X and D, and
+                    # the two sum there
+                    y, yt, p, q = (work[k * 2 * b * n * size:
+                                        (k + 1) * 2 * b * n * size]
+                                   for k in range(4))
+                    lp = work[:2 * b * n * nb * size]
+                    nxt = states[lv + 1][:b, 1:]
+                    step = (y.reshape((b, 2, n) + shape), y.reshape(b, -1, de),
+                            yt.reshape((b, 2, n) + shape),
+                            yt.reshape(b, -1, de),
+                            p.reshape(b, -1, de), q.reshape(b, -1, de),
+                            p.reshape(b, 2, n, 1, d2, -1),
+                            q.reshape(b, 2, n, 1, d2, -1),
+                            lp.reshape(b, 2, n, nb, d2, -1),
+                            lp.reshape((b, 2, n, nb) + shape).swapaxes(-1, -2),
+                            nxt.reshape(b, 2, n, nb, d2, -1),
+                            nxt.reshape((b, 2, n, nb) + shape))
+                run, xs = st[:b, 0], st[:b, 1]
+                levels.append((run, list(zip(run[:-1], run[1:])), run[-1],
+                               st[:b, :1], st[:b, 1:], xs[:-1], xs[-1],
+                               st[:b].reshape(b, -1, de * de),
+                               tr.reshape(m1, -1, 1),
+                               work[:n * size].reshape((n,) + shape), step))
+            half, phi_t, pair = bath[:b, 0], bath[:b, 1], bath[:b, 2:]
+            return (half, half.swapaxes(1, 2), phi_t,
+                    phi_t.reshape(b, -1, 1), pair, pair.reshape(b, 2, -1),
+                    states[0][:b, 1].reshape(b, -1, de * de),
+                    states[0][:b, 1], states[0][:b, 2], levels)
+
+        full = views(blk)
+        for lo in range(0, m1, blk):
+            hi = min(lo + blk, m1)
+            (half, half_t, phi_t, phi_tv, pair, pair2, x1, x, d,
+             levels) = full if hi - lo == blk else views(hi - lo)
+            np.multiply(0.5, phi[lo:hi], out=half)
+            np.copyto(phi_t, phi[lo:hi].swapaxes(1, 2))
             # level 1: X = D = Op_k(j)[rho_E], two outer products per branch
-            np.matmul(half, rho, out=pair[0])
-            np.matmul(rho, half, out=pair[1])
-            np.matmul(both[j].reshape(-1, 2), pair.reshape(2, -1),
-                      out=states[0][1].reshape(-1, de * de))
-            states[0][2] = states[0][1]
-            for st, xd, rows, tr, tmp, step in levels:
-                np.matmul(rows, phi_t, out=tr[j])
+            np.matmul(half, rho, out=pair[:, 0])
+            np.matmul(rho, half, out=pair[:, 1])
+            np.matmul(both[lo:hi], pair2, out=x1)
+            np.copyto(d, x)
+            for (run, adds, last, e, xd, xs, x_last, rows, tr, tmp,
+                 step) in levels:
+                if adds:
+                    # E of the block's later points: row k takes wb X of
+                    # point k - 1, then adds E of row k - 1, in grid order
+                    np.multiply(wb[lo:hi - 1], xs, out=run[1:])
+                    for prev, row in adds:
+                        np.add(prev, row, out=row)
+                np.matmul(rows, phi_tv, out=tr[lo:hi])
                 if step is not None:
-                    y, y2, yt, yt2, p2, q2, ps, qs, lp, lpt, xs, nxt = step
-                    np.multiply(halves[j, :, None, None, None, None, None],
-                                xd, out=y)
-                    y += st[0]
+                    y, y2, yt, yt2, p2, q2, ps, qs, lp, lpt, nx, nxt = step
+                    np.multiply(halves[lo:hi], xd, out=y)
+                    y += e
                     np.copyto(yt, y.swapaxes(-1, -2))
-                    np.matmul(yt2, half.T, out=p2)
+                    np.matmul(yt2, half_t, out=p2)
                     np.matmul(y2, half, out=q2)
-                    np.matmul(left[j], ps, out=lp)
-                    np.matmul(right[j], qs, out=xs)
+                    np.matmul(left[lo:hi], ps, out=lp)
+                    np.matmul(right[lo:hi], qs, out=nx)
                     np.add(lpt, nxt, out=nxt)
-                st[0] += np.multiply(self.wb[j], st[1], out=tmp)
+                # row 0, read by this block no more, carries E past it
+                np.multiply(self.wb[hi - 1], x_last, out=tmp)
+                np.add(last, tmp, out=run[0])
         return traces
 
     def _pair_traces(self, left, right):

@@ -108,6 +108,21 @@ class TestSpecValidation:
                                                   beta=beta).rho_E))
             assert got.tobytes() == (p / p.sum()).tobytes()
 
+    def test_minus_infinite_beta_is_the_inverted_limit(self):
+        # beta -> -inf is the fully inverted state, the limit of finite
+        # negative beta, not the vacuum of beta -> +inf
+        for omega, want in ((1.0, [0, 0, 0, 1]), (-1.0, [1, 0, 0, 0])):
+            mode = boson_mode_bath(omega, 3, beta=-np.inf)
+            np.testing.assert_array_equal(np.diag(mode.rho_E), want)
+            np.testing.assert_array_equal(
+                mode.rho_E, boson_mode_bath(omega, 3, beta=-1000.0).rho_E)
+        np.testing.assert_array_equal(
+            np.diag(qubit_bath(1.0, beta=-np.inf).rho_E), [1, 0])
+        np.testing.assert_array_equal(
+            np.diag(boson_mode_bath(1.0, 3, beta=np.inf).rho_E), [1, 0, 0, 0])
+        with pytest.raises(ValueError, match="beta \\* omega > 0"):
+            thermal_mode_two_point(1.0, beta=-np.inf)
+
     def test_thermal_kernel_needs_positive_beta_omega(self):
         # at beta omega = 0 the occupation diverges, below it is negative
         # and C(t, t) < 0
@@ -160,6 +175,20 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match="broadcast"):
                 GaussianBath(two_point, mean=mean)
         GaussianBath(base, mean=lambda tau: 0.3)   # a constant broadcasts
+
+    @pytest.mark.parametrize("two_point,mean", [
+        (lambda tau, s: np.nan * (tau - s + 1), None),
+        (lambda tau, s: np.inf * (1.0 + 0.0 * (tau - s)), None),
+        (lambda tau, s: np.where(tau > 0.8, np.nan, 1.0 + 0.0 * s), None),
+        (thermal_mode_two_point(1.0), lambda tau: np.nan * tau),
+        (thermal_mode_two_point(1.0), lambda tau: np.inf + 0.0 * tau),
+    ], ids=["nan-kernel", "inf-kernel", "nan-at-one-time", "nan-mean",
+            "inf-mean"])
+    def test_gaussian_bath_refuses_non_finite_samples(self, two_point, mean):
+        # NaN fails every comparison, so the broadcast and hermiticity
+        # spot checks alone let it through
+        with pytest.raises(ValueError, match="finite"):
+            GaussianBath(two_point, mean=mean)
 
     def test_query_invariants(self):
         with pytest.raises(ValueError):

@@ -108,6 +108,19 @@ def test_state_validation():
         propagate_state(model, bad, grid, 1)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_initial_values_are_refused(value):
+    # NaN fails every tolerance comparison, so the Hermitian, trace and
+    # positivity checks alone returned a NaN trajectory
+    model = ModelSpec(SZ, SX, 0.1, qubit_bath(1.0))
+    grid = Grid(1.0, 20)
+    rho0 = np.array([[0.5, value], [value, 0.5]])
+    with pytest.raises(ValueError, match="rho0 must be finite"):
+        propagate_state(model, rho0, grid, 1)
+    with pytest.raises(ValueError, match="O0 must be finite"):
+        propagate_observable(model, rho0, grid, 1)
+
+
 def test_observable_identity_and_zero_coupling():
     model = ModelSpec(rand_herm(2), rand_herm(2), 0.3,
                       qubit_bath(1.0, beta=1.0))

@@ -130,6 +130,13 @@ class TestSpecGuards:
         with pytest.raises(ValueError):
             ModelSpec(SZ, SX, 0.1 + 0.2j, bath)
 
+    @pytest.mark.parametrize("g", [np.nan, np.inf, -np.inf])
+    def test_model_refuses_a_non_finite_coupling(self, g):
+        # NaN has a zero imaginary part, so the reality check alone let it
+        # through
+        with pytest.raises(ValueError, match="g must be finite"):
+            ModelSpec(SZ, SX, g, qubit_bath(1.0))
+
     def test_quadrature_validation(self):
         grid = Grid(1.0, 5)
         with pytest.raises(ValueError):
@@ -853,6 +860,70 @@ class TestReachableSweep:
                 np.testing.assert_allclose(
                     got, want, rtol=0, atol=1e-13 * np.abs(want).max(),
                     err_msg=f"{kind} {path}")
+
+
+def drifting_four_level_model():
+    """A qubit on a random d_E = 4 bath whose state drifts (no level cut)."""
+    gen = np.random.default_rng(77)
+    bath = ExactBath(rand_herm(4, gen=gen), rand_herm(4, gen=gen),
+                     rand_state(4, gen=gen))
+    assert not is_stationary(bath)
+    return ModelSpec(rand_herm(2, gen=gen), rand_herm(2, gen=gen), 0.4, bath)
+
+
+class TestSweepBlocks:
+    """The sweep's block length changes no bit of any generator table."""
+
+    @staticmethod
+    def block_budget(model, N, path, points):
+        # the block buffers of one grid point (``_level_traces``):
+        # (8 K^(N-2) + 3 (K + ... + K^(N-1))) d^4 d_R^2 complex elements,
+        # K = 1 for the momenta and 2 for the clusters
+        eng = engine_for(model, QuadratureConfig(Grid(1.0, 2 * N), N))
+        k = 1 if path == MATRIX_RECURSION else 2
+        per_point = ((8 * k ** (N - 2) + 3 * sum(k ** lv
+                                                   for lv in range(1, N)))
+                     * eng.d2 ** 2 * len(eng.sweep_bath[1]) ** 2)
+        return points * per_point
+
+    @staticmethod
+    def tables(model, N, path):
+        eng = engine_for(model, QuadratureConfig(Grid(1.2, 12), N))
+        return [eng.generator_order(n, kind, path)
+                for kind in (SCHRODINGER, ADJOINT) for n in range(1, N + 1)]
+
+    @pytest.mark.parametrize("path", [MATRIX_RECURSION, TERM_EXPANSION])
+    @pytest.mark.parametrize("N", [3, 4, 5, 6])
+    @pytest.mark.parametrize("case", ["vacuum", "thermal", "drifting",
+                                      "four-level"])
+    def test_tables_are_those_of_one_point_blocks(self, case, N, path,
+                                                  monkeypatch):
+        # M + 1 = 13 points: blocks of 1, of 2 and of 5 (both with a
+        # partial last block), and one block of the whole grid
+        from tclgen import superops
+        model = (drifting_four_level_model() if case == "four-level"
+                 else reachable_sweep_model(case))
+        runs = {}
+        for points in (1, 2, 5, 13):
+            monkeypatch.setattr(superops, "_SWEEP_BLOCK", self.block_budget(
+                model, N, path, points))
+            runs[points] = self.tables(model, N, path)
+        assert all(np.abs(tab).max() > 0 for tab in runs[1])
+        for points, got in runs.items():
+            for n, (a, b) in enumerate(zip(got, runs[1])):
+                assert np.array_equal(a, b), (points, n)
+
+    @pytest.mark.parametrize("path", [MATRIX_RECURSION, TERM_EXPANSION])
+    def test_first_order_has_no_sweep_level(self, path, monkeypatch):
+        from tclgen import superops
+        model = reachable_sweep_model("drifting")
+        runs = []
+        for budget in (1, 2 ** 40):
+            monkeypatch.setattr(superops, "_SWEEP_BLOCK", budget)
+            runs.append(self.tables(model, 1, path))
+        assert np.abs(runs[0][0]).max() > 0
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
 
 
 class TestWholeGridStacks:
