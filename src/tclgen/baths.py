@@ -136,8 +136,9 @@ class GaussianBath:
     ``mean`` is the first moment m(tau); omitted means identically zero.
     Both are called with NumPy arrays of times as well as with scalars and
     must broadcast like ufuncs (a constant may come back as a scalar), so
-    that a grid table is one call.  Broadcasting and the hermiticity of C
-    are spot-checked on a small sample at construction.
+    that a grid table is one call.  Finiteness, broadcasting, the
+    hermiticity of C and a real mean are spot-checked on a small sample at
+    construction.
     """
 
     two_point: object
@@ -171,6 +172,9 @@ class GaussianBath:
                              "arrays of times give other values than scalars")
         if np.abs(grid - grid.conj().T).max() > scale:
             raise ValueError("two_point violates C(tau,s) = conj(C(s,tau))")
+        # <phi(tau)> of a Hermitian phi is real
+        if np.abs(means.imag).max() > 1e-9 * max(1.0, np.abs(means).max()):
+            raise ValueError("mean must be real on the sampled times")
 
     def mean_at(self, tau):
         return 0.0 if self.mean is None else complex(self.mean(tau))
@@ -412,7 +416,13 @@ class ExactCorrelatorTable(_GridTable):
 
 
 class GaussianCorrelatorTable(_GridTable):
-    """Correlator lookups on the grid for the GAUSSIAN backend."""
+    """Correlator lookups on the grid for the GAUSSIAN backend.
+
+    ``cc`` is the centred (M+1)^2 table g^2 C(t_a, t_b) - m_a m_b and
+    ``mvec`` the mean g m(t_j), zeros when the bath has none.  ``_chain``
+    pairs them by Isserlis; the engine's two-slot pair rule reads ``cc``
+    in row and column slices and ``mvec`` as it is.
+    """
 
     def __init__(self, bath, times, g):
         super().__init__(bath, times)

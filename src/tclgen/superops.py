@@ -33,15 +33,16 @@ reversed sign string, pinned or free, and the adjoint momenta (and their
 derivatives) are ``(-1)^n dual(mu_n)``: state/observable duality, order by
 order.  L_n is not mapped, as the dual reverses products.
 
-Exact-bath chains (one ``_sweep`` per branch set) run in the eigenbasis of
-H_E, on the levels a chain can reach.  Levels a and b are linked when
-``phi_j[a, b]`` is nonzero, and only exact zeros count as missing links.
-A chain of n slots traced on rho_E is a sum over walks of n links that
-start and end on the support of rho_E, so it never visits a level more
-than n // 2 links away.  The engine keeps the d_R <= d_E levels within
-max_order // 2 links (``ExactCorrelatorTable.reachable``) and sweeps
-(phi_j, rho_E) restricted to them, exactly, for every order up to
-max_order: on a vacuum boson mode d_R = min(max_order // 2 + 1, d_E),
+Chains of one and two slots on either bath, and exact-bath chains of any
+size, come from one ``_sweep`` per branch set.  Exact-bath chains run in
+the eigenbasis of H_E, on the levels a chain can reach.  Levels a and b
+are linked when ``phi_j[a, b]`` is nonzero, and only exact zeros count as
+missing links.  A chain of n slots traced on rho_E is a sum over walks of
+n links that start and end on the support of rho_E, so it never visits a
+level more than n // 2 links away.  The engine keeps the d_R <= d_E
+levels within max_order // 2 links (``ExactCorrelatorTable.reachable``)
+and sweeps (phi_j, rho_E) restricted to them, exactly, for every order up
+to max_order: on a vacuum boson mode d_R = min(max_order // 2 + 1, d_E),
 and a bath whose state has full support keeps d_R = d_E.  A chain of m
 slots is carried from the inside out as running joint system x bath
 states of shape (d^2, d^2, d_R, d_R).  An inner slot at t_j applies the
@@ -66,12 +67,21 @@ products per branch, and each deeper level applies every ``Op_k`` to
 ``[E + wb/2 X, E + c/2 D]``.  The levels run over blocks of grid points,
 as many as fit a cache-sized buffer budget: each step is one batched NumPy
 call per block, about a dozen per level, and only the running sum E takes
-one call per point and level.  At max_order 2 no deeper level reads the
-level-1 states, so none is built: ``Tr_E[phi_a Op_k(b)[rho_E]] = left_k(b)
-g[a, b] + right_k(b) g[b, a]`` needs only the two-point table ``g[a, b] =
-Tr(phi_a phi_b rho_E)/2``, and ``_pair_traces`` sums it in blocks of 3 K
-d_S^4 grid points, with the earlier blocks carried as one (d_R^2, K d_S^4)
-matrix: O(M (K d_S^4 d_R^2 + d_R^3)) time and no loop over grid points.
+one call per point and level.
+
+Level 0 is the first moment ``Tr(phi_j rho_E)``, a Gaussian table's mean.
+When two slots are the longest chain of a sweep, no deeper level reads the
+level-1 states, so none is built: for any bath ``Tr_E[phi_a
+Op_k(b)[rho_E]] = left_k(b) g[a, b] + right_k(b) g[b, a]`` needs only the
+uncentred two-point table ``g[a, b] = <phi_a phi_b>/2``, and
+``_pair_traces`` sums it in blocks of 3 K d_S^4 grid points.  An exact
+bath carries the earlier blocks as one (d_R^2, K d_S^4) matrix, in O(M (K
+d_S^4 d_R^2 + d_R^3)) time; a Gaussian one reads them from row and column
+slices of its centred (M+1)^2 table, views that are not copied, plus a
+carried row for the mean's rank-one part, in O(M^2 K d_S^4) time and O(M
+K d_S^4) memory.  Neither loops over grid points.  An exact sweep runs to
+max_order; a Gaussian sweep stops at two slots, as its correlator does not
+factor into slot states.
 
 * Clusters, K = 2 (the term-expansion path): a MINUS slot is ``A^-
   {phi_j, Y}/2`` and a PLUS slot ``A^+ [phi_j, Y]/2``, as the bath string
@@ -79,40 +89,40 @@ matrix: O(M (K d_S^4 d_R^2 + d_R^3)) time and no loop over grid points.
   point: 2^(N+1) - 8 state applications below level 1 per grid point at
   order N, against (N-3) 2^(N+1) + 8 for one sweep per string (24 against
   40 at N=4), in O(2^N M (d_S^6 d_R^2 + d_S^4 d_R^3)) time for N >= 3
-  and O(M (d_S^4 d_R^2 + d_R^3)) at N = 2.
+  and O(M (d_S^4 d_R^2 + d_R^3)) at N = 2 on an exact bath.
 * Momenta, K = 1 (the matrix-recursion path reads nothing else): mu_n
   sums the clusters of size n, and the chain is linear in every inner
   slot, so one branch applies the sum over both signs, left = A^- + A^+
   and right = A^- - A^+.  Level L gives mu_{L+1} (free) and its
   derivative (pinned) in 2N - 3 state applications per grid point (5 at
   N=4, 13 at N=8) and O(N M (d_S^6 d_R^2 + d_S^4 d_R^3)) time for N >= 3,
-  O(M (d_S^4 d_R^2 + d_R^3)) at N = 2.
+  O(M (d_S^4 d_R^2 + d_R^3)) at N = 2 on an exact bath.
 
-Gaussian-bath clusters (one evaluation per forward sign string): the bath
-correlator does not factor into slot states, so the later slots are summed
-per outer index j0 with one weight rule.  A later slot at grid point b,
-following its neighbour at a, has the weight ``w(b) theta[a, b]``, where
-theta is the ordering factor and w the trapezoid weights of the grid
-points 0..j0: interior (wb) in X, with the endpoint corner c at j0 in D and
-P.  P drops theta between slots 0 and 1, the domain edge.  Ties at j0 are
-then weights, not separate terms.  For two slots the sums at every j0 are
-one masked (M+1)^2 matmul of the pair table with the stack of slot-1
-factors, plus its diagonal.  For m >= 3 slots each j0 gets the correlator
-box of the later m-1 slots over grid points 0..j0 from one ``_chain``
-call; the weighted box is contracted with the system factors from the
-innermost slot out, one matmul per slot.  A box holds O(j0^(m-1))
-entries, so a free cluster costs O(M^m) time for all endpoints together,
-as much as one endpoint evaluated on its own, and an engine on a Gaussian
-bath refuses a ``max_order`` above ``GAUSSIAN_MAX_SLOTS``.  No
-correlator table is kept: a pair table lives for its cluster, a box for
-its j0 alone.
+Gaussian-bath clusters of three or more slots (one evaluation per forward
+sign string): the bath correlator does not factor into slot states, so
+the later slots are summed per outer index j0 with one weight rule.  A
+later slot at grid point b, following its neighbour at a, has the weight
+``w(b) theta[a, b]``, where theta is the ordering factor and w the
+trapezoid weights of the grid points 0..j0: interior (wb) in X, with the
+endpoint corner c at j0 in D and P.  P drops theta between slots 0 and 1,
+the domain edge.  Ties at j0 are then weights, not separate terms.  Each
+j0 gets the correlator box of the later m-1 slots over grid points 0..j0
+from one ``_chain`` call; the weighted box is contracted with the system
+factors from the innermost slot out, one matmul per slot.  A box holds
+O(j0^(m-1)) entries, so a free cluster costs O(M^m) time for all
+endpoints together, as much as one endpoint evaluated on its own, and an
+engine on a Gaussian bath refuses a ``max_order`` above
+``GAUSSIAN_MAX_SLOTS``.  No box is kept beyond its j0.  The one- and
+two-slot clusters, and mu_1 and mu_2 with their derivatives, come from the
+sweep at every max_order, in O(M^2 d_S^4) time for all endpoints
+together.
 
 Expansion objects on whole-grid stacks: a term is the product of its
 cluster stacks, one batched matmul per factor.  The momenta and their
-derivatives come from the momentum sweep on an exact bath and are sums of
-cluster stacks on a Gaussian one, and the orders L_n are batched products
-of momenta; all are cached per (order, kind).  The single-time functions
-read one row of a stack.
+derivatives come from the momentum sweep, up to mu_2 on a Gaussian bath,
+whose higher momenta are sums of cluster stacks, and the orders L_n are
+batched products of momenta; all are cached per (order, kind).  The
+single-time functions read one row of a stack.
 """
 
 from __future__ import annotations
@@ -206,7 +216,8 @@ class QuadratureConfig:
     Any ``max_order >= 1`` is accepted with ``M >= 2*max_order``.  An exact
     bath serves every order; an engine on a Gaussian bath refuses a
     ``max_order`` above ``GeneratorEngine.GAUSSIAN_MAX_SLOTS`` (4), since
-    a Gaussian cluster of m slots costs O(M^m).
+    a Gaussian cluster of m >= 3 slots costs O(M^m).  Its clusters of one
+    and two slots cost O(M^2 d_S^4) for all endpoints together.
     """
 
     grid: Grid
@@ -293,8 +304,9 @@ class GeneratorEngine:
     agreement checks the sign sums and the term algebra.  The tests' brute
     tuple sums over the standard ``baths.ordered_correlation``, with the
     system product reversed and signed for the adjoint kind, check the
-    recurrence and the dual.  On a Gaussian bath both paths read the same
-    cached cluster stacks.
+    recurrence and the dual.  On a Gaussian bath the sweep stops at two
+    slots, and both paths read the same cached stacks of the larger
+    clusters.
     """
 
     def __init__(self, model, quad):
@@ -312,6 +324,10 @@ class GeneratorEngine:
             # the (phi_j, rho_E) of every sweep: the levels that a chain of
             # up to max_order slots can visit
             self.sweep_bath = self.ctab.reachable(quad.max_order // 2)
+        # the largest chain that _sweep serves: a Gaussian correlator does
+        # not factor into slot states beyond the pair rule of two slots
+        self.sweep_slots = (quad.max_order if self._exact
+                            else min(quad.max_order, 2))
         m1, h = self.grid.M + 1, self.grid.h
         # trapezoid weights of a grid point: interior wb, endpoint corner c
         self.wb = np.full(m1, h)
@@ -323,7 +339,8 @@ class GeneratorEngine:
         self._gen = {}         # (n, kind, path) -> stack
         self.d2 = model.d_S ** 2
 
-    # a Gaussian cluster of m slots costs O(M^m): larger ones are refused
+    # a Gaussian cluster of m >= 3 slots costs O(M^m) in the box loop, and
+    # larger ones are refused; one and two slots take the sweep's pair rule
     GAUSSIAN_MAX_SLOTS = 4
 
     # -- quadrature primitives ------------------------------------------
@@ -342,9 +359,10 @@ class GeneratorEngine:
         """Ordered quadrature of one cluster, the (M+1, d^2, d^2) stack.
 
         Row i is the cluster at t_i; every endpoint is evaluated by the
-        first query.  Forward clusters come from one sweep (exact bath) or
-        one evaluation each (Gaussian bath); an adjoint cluster is the
-        ``_dual`` of the forward one of its reversed signs.
+        first query.  Forward clusters come from one sweep, or on a
+        Gaussian bath from one box-loop evaluation each from three slots
+        on; an adjoint cluster is the ``_dual`` of the forward one of its
+        reversed signs.
         """
         _check_kind(kind)
         if not 1 <= len(signs) <= self.quad.max_order:
@@ -359,7 +377,7 @@ class GeneratorEngine:
             elif signs[0] != MINUS:
                 # inadmissible: a leading MINUS bath sign traces to zero
                 return np.zeros_like(self.a_tab[MINUS])
-            elif self._exact:
+            elif len(signs) <= self.sweep_slots:
                 self._kind_sweep()
             else:
                 self._clusters[key] = tuple(map(_frozen,
@@ -396,8 +414,9 @@ class GeneratorEngine:
         k applies ``Op_k(j)[Y] = left_k(t_j) (phi_j Y)/2 + right_k(t_j)
         (Y phi_j)/2`` in every inner slot, and the outer slot is the MINUS
         factor A^-.  Returns (S, M+1, d^2, d^2) stacks, S = 1 + K + ... +
-        K^(N-1), of every level's chains in turn; within level L the slot-1
-        branch of chain ``idx`` is ``idx % K``.  (phi_j, rho_E) is
+        K^(n-1) for chains of up to n = ``sweep_slots`` slots, of every
+        level's chains in turn; within level L the slot-1 branch of chain
+        ``idx`` is ``idx % K``.  On an exact bath (phi_j, rho_E) is
         ``sweep_bath``, the d_R levels that a chain of max_order slots can
         visit (a walk of n links from the support of rho_E back to it);
         dropping the others changes no chain, as only exact zeros of phi_j
@@ -405,16 +424,18 @@ class GeneratorEngine:
         """
         lead = self.a_tab[MINUS]
         m1, d2 = self.grid.M + 1, self.d2
-        phi, rho = self.sweep_bath
         # outer-slot terms X, D, P of every level: traced top on
-        # [E + wb/2 X, E + c/2 D, E + c D], summed after tracing; at
-        # max_order 2 no deeper level reads the level-1 states
-        traces = (self._pair_traces(left, right)
-                  if self.quad.max_order == 2
+        # [E + wb/2 X, E + c/2 D, E + c D], summed after tracing; when two
+        # slots are the longest chain no deeper level reads the level-1
+        # states
+        traces = (self._pair_traces(left, right) if self.sweep_slots == 2
                   else self._level_traces(left, right))
         counts = [tr.shape[2] for tr in traces]
         terms = np.empty((3, 1 + sum(counts), m1, d2, d2), dtype=complex)
-        terms[:, 0] = np.einsum("jab,ba->j", phi, rho)[:, None, None] * lead
+        # level 0: the first moment Tr(phi_j rho_E), a Gaussian table's mean
+        first = (np.einsum("jab,ba->j", *self.sweep_bath) if self._exact
+                 else self.ctab.mvec)
+        terms[:, 0] = first[:, None, None] * lead
         lo = 1
         for n in counts:
             # each level's traces are dropped once used
@@ -453,7 +474,7 @@ class GeneratorEngine:
         ``out=``).
         """
         nb = len(left)
-        m1, d2, top = self.grid.M + 1, self.d2, self.quad.max_order
+        m1, d2, top = self.grid.M + 1, self.d2, self.sweep_slots
         counts = [nb ** lv for lv in range(1, top)]
         if not counts:
             return []
@@ -561,56 +582,84 @@ class GeneratorEngine:
         """``_level_traces`` of level 1 alone, with no joint state.
 
         ``Tr_E[phi_a Op_k(b)[rho_E]]`` is ``left_k(b) g[a, b] + right_k(b)
-        g[b, a]`` with ``g[a, b] = Tr(phi_a phi_b rho_E)/2``, so level 1
-        needs only this two-point table, and the grid runs in blocks.  A
-        block's table is one product of ``vec(phi_a)`` with ``vec(Q_b^T)``,
-        ``Q_b = rho_E phi_b/2 = P_b^dagger`` for ``P_b = phi_b rho_E/2``; it
-        gives g transposed, so the partner term needs no second product.
-        Within the block E is one masked matmul of both factors, and X = D =
-        ``g[j, j] (left + right)``.  The earlier blocks add their part of E
-        through one carried (d_R^2, K d^4) matrix, the sum of ``vec(P_b^T)``
-        and ``vec(Q_b^T)`` times the weighted factors, which one GEMM per
-        block updates.  The bath is ``sweep_bath``: g[a, b] closes a walk of
-        two links on the support of rho_E, so the levels more than one link
-        away are dropped, and only exact zeros of phi_j cut a link.  A block
-        of n points costs n^2 d_R^2 for its table and 3 n K d^4 d_R^2 for
-        the carried trace and update, so blocks of 3 K d^4 points keep the
-        table no dearer: O(M (K d^4 d_R^2 + d_R^3)) time and O(K d^4 d_R^2)
-        extra memory.
+        g[b, a]`` for any bath, with the uncentred two-point table ``g[a, b]
+        = Tr(phi_a phi_b rho_E)/2``, so level 1 needs only this table, and
+        the grid runs in blocks.  Within a block E is one masked matmul of
+        the block's n x n square of g with both weighted factors, and X = D
+        = ``g[j, j] (left + right)``.  The earlier blocks add their part of
+        E by backend:
+
+        * exact: the block's table is one product of ``vec(phi_a)`` with
+          ``vec(Q_b^T)``, ``Q_b = rho_E phi_b/2 = P_b^dagger`` for ``P_b =
+          phi_b rho_E/2``; it gives g transposed, so the partner term needs
+          no second product.  The earlier blocks enter through one carried
+          (d_R^2, K d^4) matrix, the sum of ``vec(P_b^T)`` and ``vec(Q_b^T)``
+          times the weighted factors, which one GEMM per block updates.  The
+          bath is ``sweep_bath``: g[a, b] closes a walk of two links on the
+          support of rho_E, so the levels more than one link away are
+          dropped, and only exact zeros of phi_j cut a link.  A block of n
+          points costs n^2 d_R^2 for its table and 3 n K d^4 d_R^2 for the
+          carried trace and update, so blocks of 3 K d^4 points keep the
+          table no dearer: O(M (K d^4 d_R^2 + d_R^3)) time and O(K d^4
+          d_R^2) extra memory.
+        * Gaussian: ``g = (cc + m m^T)/2`` from the centred table ``cc`` and
+          the mean m.  The earlier blocks are the products of the row and
+          column slices ``cc[lo:hi, :lo]`` and ``cc[:lo, lo:hi]^T``, views of
+          ``cc``, with the weighted factors before the block, and the mean's
+          rank-one part is ``m_a`` times a carried sum of ``m_b`` times
+          them.  Only the n x n square is masked, so no (M+1)^2 temporary is
+          made: O(M^2 K d^4) time and O(M K d^4) extra memory.
         """
         m1, d2 = self.grid.M + 1, self.d2
-        phi, rho = self.sweep_bath
-        de = rho.shape[0]
         cols = len(left) * d2 * d2
         block = 3 * cols
         # per grid point the rows of every branch's left and right factors
         fac = np.stack((left, right)).swapaxes(1, 2).reshape(2, m1, cols)
+        wfac = fac * self.wb[:, None]
         out = np.empty((m1, 3, cols), dtype=complex)
+        if self._exact:
+            phi, rho = self.sweep_bath
+            de = rho.shape[0]
+        else:
+            cc, mean = self.ctab.cc, self.ctab.mvec
+        # the earlier blocks' (d_R^2, K d^4) matrix (exact) or K d^4 row of
+        # m_b/2 times their weighted factors (Gaussian)
         carry = None
         for lo in range(0, m1, block):
             hi = min(lo + block, m1)
             n = hi - lo
-            rows = phi[lo:hi].reshape(n, -1)
-            prod = phi[lo:hi].reshape(-1, de) @ (0.5 * rho)
-            prod = prod.reshape(n, de, de)
-            # Tr(phi_a Z) = vec(phi_a) . vec(Z^T), and Q_b^T = conj(P_b):
-            # gt[a, b] = Tr(phi_a Q_b) = g[b, a]
-            qt = np.conjugate(prod, out=prod).reshape(n, -1)
-            gt = rows @ qt.T
-            weighted = fac[:, lo:hi] * self.wb[lo:hi, None]
-            weighted = weighted.reshape(2 * n, -1)
+            weighted = wfac[:, lo:hi].reshape(2 * n, -1)
+            if self._exact:
+                rows = phi[lo:hi].reshape(n, -1)
+                prod = phi[lo:hi].reshape(-1, de) @ (0.5 * rho)
+                prod = prod.reshape(n, de, de)
+                # Tr(phi_a Z) = vec(phi_a) . vec(Z^T), and Q_b^T = conj(P_b):
+                # gt[a, b] = Tr(phi_a Q_b) = g[b, a]
+                qt = np.conjugate(prod, out=prod).reshape(n, -1)
+                gt = rows @ qt.T
+            else:
+                m = mean[lo:hi]
+                gt = 0.5 * (cc[lo:hi, lo:hi].T + np.multiply.outer(m, m))
             e = np.hstack((np.tril(gt.T, -1), np.tril(gt, -1))) @ weighted
-            if carry is not None:
+            if lo and self._exact:
                 e += rows @ carry
+            elif lo:
+                # the slices are views: no (M+1)^2 temporary
+                e += 0.5 * (cc[lo:hi, :lo] @ wfac[0, :lo]
+                            + cc[:lo, lo:hi].T @ wfac[1, :lo])
+                e += m[:, None] * carry
             out[lo:hi, 0] = e
             out[lo:hi, 1] = np.diagonal(gt)[:, None] * (fac[0, lo:hi]
                                                         + fac[1, lo:hi])
             out[lo:hi, 2] = out[lo:hi, 1]
             if hi < m1:
-                # P_b^T = conj(Q_b), the transpose of conj(P_b)
-                pt = np.conjugate(prod.swapaxes(1, 2)).reshape(n, -1)
-                step = pt.T @ weighted[:n] + qt.T @ weighted[n:]
-                carry = step if carry is None else carry + step
+                if self._exact:
+                    # P_b^T = conj(Q_b), the transpose of conj(P_b)
+                    pt = np.conjugate(prod.swapaxes(1, 2)).reshape(n, -1)
+                    step = pt.T @ weighted[:n] + qt.T @ weighted[n:]
+                else:
+                    step = 0.5 * m @ (weighted[:n] + weighted[n:])
+                carry = step if lo == 0 else carry + step
         return [out.reshape(m1, 3, len(left), d2, d2)]
 
     def _kind_sweep(self):
@@ -627,7 +676,7 @@ class GeneratorEngine:
         free, pinned = _frozen(free), _frozen(pinned.copy())
         # level by level; slot 1 is the fastest-varying branch
         strings = (MINUS + "".join(tail[::-1])
-                   for lv in range(self.quad.max_order)
+                   for lv in range(self.sweep_slots)
                    for tail in itertools.product((MINUS, PLUS), repeat=lv))
         for idx, signs in enumerate(strings):
             self._clusters[signs, SCHRODINGER] = free[idx], pinned[idx]
@@ -647,60 +696,46 @@ class GeneratorEngine:
                 self._mu[n, SCHRODINGER, dotted] = _frozen(np.array(val))
 
     def _gaussian_cluster(self, signs):
-        """(free, pinned) stacks of one forward Gaussian-bath chain.
+        """(free, pinned) stacks of one forward Gaussian-bath chain of m >= 3.
 
-        ``signs`` is a forward sign string.  A later slot at b, following
-        its neighbour at a, has the weight ``w(b) theta[a, b]``, where w is
-        wb for X and ``weights(j0)`` for D and P, and P drops theta between
-        slots 0 and 1.  For one or two slots this rule is applied at every
-        j0 at once.  For more, each j0 gets the correlator box of the later
-        slots over grid points 0..j0 from one ``_chain`` call, and the
-        weighted box is contracted with the system factors from the
-        innermost slot out, one matmul per slot.  On a zero-mean bath an odd
-        cluster of three or more slots is zero (Isserlis) and is not
-        evaluated.
+        ``signs`` is a forward sign string of three or more slots; shorter
+        chains come from ``_sweep``.  A later slot at b, following its
+        neighbour at a, has the weight ``w(b) theta[a, b]``, where w is wb
+        for X and ``weights(j0)`` for D and P, and P drops theta between
+        slots 0 and 1.  Each j0 gets the correlator box of the later slots
+        over grid points 0..j0 from one ``_chain`` call, and the weighted
+        box is contracted with the system factors from the innermost slot
+        out, one matmul per slot.  On a zero-mean bath an odd cluster is
+        zero (Isserlis) and is not evaluated.
         """
-        tab, wb, c = self.a_tab, self.wb, self.c
+        tab, wb = self.a_tab, self.wb
         dsig = flip_signs(signs)
         m1, d2 = self.grid.M + 1, self.d2
-        if len(signs) > 1 and len(signs) % 2 and self.ctab.bath.mean is None:
+        if len(signs) % 2 and self.ctab.bath.mean is None:
             zero = np.zeros((m1, d2, d2), dtype=complex)
             return zero, zero
-        lead = tab[signs[0]]
-        if len(signs) == 1:
-            x = self.ctab.pair_free(dsig)[:, None, None] * lead
-            return self._outer_sum(x, x, x)
-        a1 = tab[signs[1]]
-        if len(signs) == 2:
-            pair = self.ctab.pair_free(dsig)
-            strict = np.tril(pair, -1) * wb
-            core = (strict @ a1.reshape(m1, -1)).reshape(a1.shape)
-            tie = np.diagonal(pair)[:, None, None] * a1
-            x, d, p = (core + w[:, None, None] * tie
-                       for w in (0.5 * wb, 0.5 * c, c))
-        else:
-            x, d, p = np.empty((3,) + a1.shape, dtype=complex)
-            for j0 in range(m1):
-                n = j0 + 1
-                # axes j0 (of length 1), j1, ..., j_{m-1}
-                box = self.ctab._chain(
-                    dsig, np.ix_([j0], *[np.arange(n)] * (len(signs) - 1)))
-                th = _ordering(*np.ogrid[:n, :n])
-                # slot 1 follows j0: X and D with theta, P without
-                top = np.vstack([th[j0], np.ones(n)])
-                for w, rows, outs in ((wb[:n], top[:1], (x,)),
-                                      (self.weights(j0), top, (d, p))):
-                    ww = w * th
-                    r = ((box * ww) @ tab[signs[-1]][:n].reshape(n, -1)
-                         ).reshape(box.shape[:-1] + (d2, d2))
-                    for k in range(len(signs) - 2, 0, -1):
-                        r = r * (ww if k > 1 else w * rows)[..., None, None]
-                        ak = tab[signs[k]][:n].transpose(1, 0, 2)
-                        r = ak.reshape(d2, -1) @ r.reshape(
-                            r.shape[:-3] + (n * d2, d2))
-                    for out, v in zip(outs, r):
-                        out[j0] = v
-        return self._outer_sum(*(lead @ v for v in (x, d, p)))
+        x, d, p = np.empty((3, m1, d2, d2), dtype=complex)
+        for j0 in range(m1):
+            n = j0 + 1
+            # axes j0 (of length 1), j1, ..., j_{m-1}
+            box = self.ctab._chain(
+                dsig, np.ix_([j0], *[np.arange(n)] * (len(signs) - 1)))
+            th = _ordering(*np.ogrid[:n, :n])
+            # slot 1 follows j0: X and D with theta, P without
+            top = np.vstack([th[j0], np.ones(n)])
+            for w, rows, outs in ((wb[:n], top[:1], (x,)),
+                                  (self.weights(j0), top, (d, p))):
+                ww = w * th
+                r = ((box * ww) @ tab[signs[-1]][:n].reshape(n, -1)
+                     ).reshape(box.shape[:-1] + (d2, d2))
+                for k in range(len(signs) - 2, 0, -1):
+                    r = r * (ww if k > 1 else w * rows)[..., None, None]
+                    ak = tab[signs[k]][:n].transpose(1, 0, 2)
+                    r = ak.reshape(d2, -1) @ r.reshape(
+                        r.shape[:-3] + (n * d2, d2))
+                for out, v in zip(outs, r):
+                    out[j0] = v
+        return self._outer_sum(*(tab[signs[0]] @ v for v in (x, d, p)))
 
     # -- expansion objects on the whole grid ----------------------------
 
@@ -727,7 +762,8 @@ class GeneratorEngine:
         """The stack of the n-th momentum, or of its derivative.
 
         An exact bath gets every forward momentum from one
-        ``_momentum_sweep``; a Gaussian bath sums its forward cluster terms.
+        ``_momentum_sweep``, a Gaussian bath mu_1 and mu_2; its higher
+        momenta sum their forward cluster terms.
         The adjoint momentum is the ``_dual`` of the forward one.
         """
         _check_kind(kind)
@@ -739,7 +775,7 @@ class GeneratorEngine:
             if kind == ADJOINT:
                 self._mu[key] = self._dual(
                     self.mu(n, SCHRODINGER, dotted), n)
-            elif self._exact:
+            elif n <= self.sweep_slots:
                 self._momentum_sweep()
             else:
                 make = momentum_derivative_terms if dotted else momentum_terms

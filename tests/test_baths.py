@@ -190,6 +190,20 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="finite"):
             GaussianBath(two_point, mean=mean)
 
+    @pytest.mark.parametrize("mean", [
+        lambda tau: 0.3 + 0.2j + 0.0 * tau,
+        lambda tau: np.exp(1j * tau),
+        lambda tau: 0.4 * np.cos(tau) + 1e-6j * tau,
+    ], ids=["constant", "phase", "small-drift"])
+    def test_gaussian_bath_refuses_a_complex_mean(self, mean):
+        # <phi(tau)> of a Hermitian phi is real; a mean with an imaginary
+        # part was evaluated without a word
+        with pytest.raises(ValueError, match="mean must be real"):
+            GaussianBath(thermal_mode_two_point(1.0), mean=mean)
+        # a real mean handed back as a complex array is served
+        GaussianBath(thermal_mode_two_point(1.0),
+                     mean=lambda tau: 0.4 * np.cos(tau) + 0j)
+
     def test_query_invariants(self):
         with pytest.raises(ValueError):
             CorrelationQuery("+-", (0.1,))

@@ -468,14 +468,25 @@ class TestClusterQuadratureOracle:
         ("-+-", True), ("--+", False), ("-++-", True), ("-+--", False),
     ])
     def test_cluster_value_matches_tuple_sum(self, signs, pinned, kind):
+        # on an exact bath and a Gaussian one with and without a mean, on
+        # every engine whose max_order serves the cluster: a Gaussian
+        # engine takes one and two slots from the sweep's pair rule at any
+        # max_order, and larger clusters from its box loop
         if kind == ADJOINT:
             signs = signs[::-1]  # adjoint admissibility: last slot MINUS
-        model = rand_model(g=0.5)
-        quad = QuadratureConfig(Grid(0.6, 8), max_order=4)
-        eng = engine_for(model, quad)
-        got = eng.cluster_value(signs, pinned, kind)[8]
-        want = self.brute_cluster(eng, signs, pinned, 8, kind)
-        np.testing.assert_allclose(got, want, atol=1e-13)
+        gen = np.random.default_rng(41)
+        for model in (rand_model(g=0.5), gaussian_model(False, gen=gen),
+                      gaussian_model(True, gen=gen)):
+            want = None
+            for top in range(len(signs), 5):
+                quad = QuadratureConfig(Grid(0.6, 8), max_order=top)
+                eng = engine_for(model, quad)
+                got = eng.cluster_value(signs, pinned, kind)[8]
+                if want is None:
+                    want = self.brute_cluster(eng, signs, pinned, 8, kind)
+                np.testing.assert_allclose(
+                    got, want, atol=1e-13,
+                    err_msg=f"{type(model.bath).__name__} max_order {top}")
 
 
 def admissible_signs(m, kind):
@@ -524,20 +535,26 @@ class TestChainSweep:
     @pytest.mark.parametrize("kind", [SCHRODINGER, ADJOINT])
     @pytest.mark.parametrize("pinned", [True, False])
     def test_every_endpoint_matches_tuple_sum(self, pinned, kind):
+        # engines of max_order 1 to 4: each serves the clusters up to its
+        # max_order, a Gaussian one the one- and two-slot clusters from the
+        # sweep's pair rule at every max_order
         brute = TestClusterQuadratureOracle.brute_cluster
         for model in (rand_model(g=0.5), gaussian_model(False),
                       gaussian_model(True)):
-            quad = QuadratureConfig(Grid(0.6, 8), max_order=4)
-            eng = engine_for(model, quad)
+            engines = {top: engine_for(model, QuadratureConfig(Grid(0.6, 8),
+                                                               max_order=top))
+                       for top in (1, 2, 3, 4)}
             for m in (1, 2, 3, 4):
                 for signs in admissible_signs(m, kind):
-                    for i in range(quad.grid.M + 1):
-                        got = eng.cluster_value(signs, pinned, kind)[i]
-                        want = brute(eng, signs, pinned, i, kind)
-                        np.testing.assert_allclose(
-                            got, want, rtol=0, atol=1e-13,
-                            err_msg=f"{type(model.bath).__name__} {signs} "
-                                    f"at {i}")
+                    for i in range(9):
+                        want = brute(engines[4], signs, pinned, i, kind)
+                        for top in range(m, 5):
+                            got = engines[top].cluster_value(signs, pinned,
+                                                             kind)[i]
+                            np.testing.assert_allclose(
+                                got, want, rtol=0, atol=1e-13,
+                                err_msg=f"{type(model.bath).__name__} "
+                                        f"{signs} at {i}, max_order {top}")
 
     @pytest.mark.parametrize("kind", [SCHRODINGER, ADJOINT])
     @pytest.mark.parametrize("pinned", [True, False])
@@ -602,6 +619,53 @@ class TestChainSweep:
             for key, want in deep.items():
                 err = np.abs(pair[key] - want).max()
                 assert err <= 1e-14 * np.abs(want).max(), (key, err)
+
+    @pytest.mark.parametrize("M", [10, 95, 96])
+    def test_gaussian_pair_blocks_match_dense_sums(self, M):
+        # a Gaussian bath takes its one- and two-slot clusters from the
+        # sweep's pair rule, in blocks of 48 (momenta) and 96 (clusters)
+        # grid points, the earlier blocks read from slices of the centred
+        # table and a carried mean row; the reference sums the weight rule
+        # of brute_cluster over the whole pair table of the chain, densely
+        gen = np.random.default_rng(80 + M)
+        grid = Grid(1.5, M)
+        for with_mean in (False, True):
+            model = gaussian_model(with_mean, gen=gen)
+            for top in (2, 3):
+                eng = engine_for(model, QuadratureConfig(grid, top))
+                tab, th = eng.a_tab, np.tri(M + 1) - 0.5 * np.eye(M + 1)
+                want = {}
+                for signs in ("-", "--", "-+"):
+                    dsig = "".join("+" if c == "-" else "-" for c in signs)
+                    pair = eng.ctab.pair_free(dsig)
+                    free, pinned = np.zeros((2, M + 1, eng.d2, eng.d2),
+                                            dtype=complex)
+                    for i in range(M + 1):
+                        n, w = i + 1, eng.weights(i)
+                        if len(signs) == 1:
+                            free[i] = np.einsum("a,a,aij->ij", w, pair[:n],
+                                                tab["-"][:n])
+                            pinned[i] = pair[i] * tab["-"][i]
+                            continue
+                        later = tab[signs[1]][:n]
+                        weight = w * th[:n, :n] * pair[:n, :n] * w[:, None]
+                        inner = np.einsum("ab,bjk->ajk", weight, later)
+                        free[i] = np.einsum("aij,ajk->ik", tab["-"][:n], inner)
+                        pinned[i] = tab["-"][i] @ np.einsum(
+                            "b,bjk->jk", w * pair[i, :n], later)
+                    want[signs] = free, pinned
+                    for p, stack in enumerate(want[signs]):
+                        got = eng.cluster_value(signs, bool(p), SCHRODINGER)
+                        scale = max(np.abs(stack).max(), 1.0)
+                        assert np.abs(got - stack).max() <= 1e-13 * scale, (
+                            signs, p, with_mean, top)
+                for n, strings in ((1, ("-",)), (2, ("--", "-+"))):
+                    for p in (0, 1):
+                        stack = sum(want[sg][p] for sg in strings)
+                        got = eng.mu(n, SCHRODINGER, bool(p))
+                        scale = max(np.abs(stack).max(), 1.0)
+                        assert np.abs(got - stack).max() <= 1e-13 * scale, (
+                            n, p, with_mean, top)
 
     def test_gaussian_bath_refuses_more_than_four_slots(self):
         # its slot recursion costs O(M^m) for m slots; the refusal comes
@@ -714,21 +778,34 @@ class TestMomentumSweep:
         # the cluster path, and of the forward-to-adjoint dual: plain sums
         # over the standard ordered_correlation, with the system product
         # reversed and signed for the adjoint kind (brute_cluster)
+        # on engines of max_order n to 4; the Gaussian bath with and
+        # without a mean, whose odd momenta vanish
         gen = np.random.default_rng(13)
-        model = {"exact": lambda: rand_model(g=0.5, gen=gen),
-                 "gaussian": lambda: gaussian_model(True, gen=gen),
-                 "drifting": TestGeneratorAssembly.coherent_mode_model,
-                 }[backend]()
-        eng = engine_for(model, QuadratureConfig(Grid(0.6, 8), max_order=4))
-        for n in range(1, 5):
-            for dotted in (False, True):
-                for i in (3, 8):
-                    want = brute_momentum(eng, n, dotted, i, kind)
-                    got = eng.mu(n, kind, dotted)[i]
-                    assert np.abs(want).max() > 1e-6
-                    np.testing.assert_allclose(
-                        got, want, rtol=0, atol=1e-13 * np.abs(want).max(),
-                        err_msg=f"n={n} dotted={dotted} at {i}")
+        models = {"exact": lambda: [rand_model(g=0.5, gen=gen)],
+                  "gaussian": lambda: [gaussian_model(True, gen=gen),
+                                       gaussian_model(False, gen=gen)],
+                  "drifting": lambda: [
+                      TestGeneratorAssembly.coherent_mode_model()],
+                  }[backend]()
+        for model in models:
+            engines = {top: engine_for(model, QuadratureConfig(Grid(0.6, 8),
+                                                               max_order=top))
+                       for top in (1, 2, 3, 4)}
+            vanish = (isinstance(model.bath, GaussianBath)
+                      and model.bath.mean is None)
+            for n in range(1, 5):
+                for dotted in (False, True):
+                    for i in (3, 8):
+                        want = brute_momentum(engines[4], n, dotted, i, kind)
+                        assert (np.abs(want).max() > 1e-6) != (vanish
+                                                               and n % 2)
+                        for top in range(n, 5):
+                            got = engines[top].mu(n, kind, dotted)[i]
+                            np.testing.assert_allclose(
+                                got, want, rtol=0,
+                                atol=1e-13 * np.abs(want).max(),
+                                err_msg=f"n={n} dotted={dotted} at {i}, "
+                                        f"max_order {top}")
 
     def test_generator_table_reads_only_the_sweep(self, monkeypatch):
         # no cluster, trie sweep or momentum term list on the matrix path
@@ -946,18 +1023,25 @@ class TestWholeGridStacks:
 
     def test_gaussian_cluster_is_evaluated_once_per_forward_signs(
             self, monkeypatch):
+        # the box loop serves the clusters of three or more slots, each
+        # forward sign string once; the one- and two-slot clusters and
+        # momenta come from one sweep each
         from collections import Counter
 
         from tclgen.superops import GeneratorEngine
         from tclgen.terms import generator_terms
         calls = Counter()
-        evaluate = GeneratorEngine._gaussian_cluster
 
-        def counted(self, signs):
-            calls[signs] += 1
-            return evaluate(self, signs)
+        def counted(name):
+            method = getattr(GeneratorEngine, name)
 
-        monkeypatch.setattr(GeneratorEngine, "_gaussian_cluster", counted)
+            def wrapper(self, *args):
+                calls[args[0] if args else name] += 1
+                return method(self, *args)
+            return wrapper
+
+        for name in ("_gaussian_cluster", "_kind_sweep", "_momentum_sweep"):
+            monkeypatch.setattr(GeneratorEngine, name, counted(name))
         eng = engine_for(gaussian_model(True),
                          QuadratureConfig(Grid(0.8, 12), max_order=3))
         for kind in (SCHRODINGER, ADJOINT):
@@ -969,8 +1053,10 @@ class TestWholeGridStacks:
         wanted = {block[::-1] if kind == ADJOINT else block
                   for kind in (SCHRODINGER, ADJOINT)
                   for n in (1, 2, 3) for term in generator_terms(n, kind)
-                  for block in term.cluster_signs()}
-        assert wanted <= set(calls)
+                  for block in term.cluster_signs() if len(block) >= 3}
+        assert wanted and wanted <= set(calls)
+        assert calls.pop("_kind_sweep") == calls.pop("_momentum_sweep") == 1
+        assert all(len(signs) >= 3 for signs in calls)
         assert set(calls.values()) == {1}
 
     def test_gaussian_prefix_tables_are_not_kept(self):
@@ -1003,6 +1089,25 @@ class TestWholeGridStacks:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * 1601 ** 2 * 8
+
+    def test_gaussian_second_order_builds_no_grid_square(self):
+        # the pair rule reads the earlier grid points from slices of the
+        # engine's centred (M+1)^2 table and masks only each block's
+        # square, so second order makes no temporary of the table's order
+        import tracemalloc
+        model = ModelSpec(0.5 * SZ + 0.2 * SX, SX, 0.3,
+                          GaussianBath(thermal_mode_two_point(1.0, beta=1.0)))
+        eng = engine_for(model, QuadratureConfig(Grid(5.0, 1600),
+                                                 max_order=2))
+        table = eng.ctab.cc.nbytes
+        tracemalloc.start()
+        try:
+            tab = eng.generator(2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(tab).all() and np.abs(tab).max() > 0
+        assert peak < 0.25 * table
 
     @pytest.mark.parametrize("kind", [SCHRODINGER, ADJOINT])
     def test_gaussian_four_slot_cluster_is_one_box_per_outer_time(self,
