@@ -138,7 +138,8 @@ class GaussianBath:
     must broadcast like ufuncs (a constant may come back as a scalar), so
     that a grid table is one call.  Finiteness, broadcasting, the
     hermiticity of C and a real mean are spot-checked on a small sample at
-    construction.
+    construction; ``GaussianCorrelatorTable`` checks finiteness, hermiticity
+    and a real mean again on every time of its grid.
     """
 
     two_point: object
@@ -421,18 +422,40 @@ class GaussianCorrelatorTable(_GridTable):
     ``cc`` is the centred (M+1)^2 table g^2 C(t_a, t_b) - m_a m_b and
     ``mvec`` the mean g m(t_j), zeros when the bath has none.  ``_chain``
     pairs them by Isserlis; the engine's two-slot pair rule reads ``cc``
-    in row and column slices and ``mvec`` as it is.
+    in row and column slices and ``mvec`` as it is.  The build refuses a
+    kernel that is not finite or not Hermitian on the grid, and a mean that
+    is not finite or not real there, with the bath's 1e-9 relative scale:
+    O(M^2) once, in set-up.
     """
 
     def __init__(self, bath, times, g):
         super().__init__(bath, times)
         t, m1 = self.times, len(self.times)
-        self.cc = _broadcast_values(
-            g * g * bath.two_point(t[:, None], t[None, :]), (m1, m1))
+        # the bath spot-checks four times in [0, 1); the grid runs to T, so
+        # the kernel and the mean are checked again on every grid time
+        self.cc = _broadcast_values(bath.two_point(t[:, None], t[None, :]),
+                                    (m1, m1))
+        # before the comparisons below, which NaN fails silently
+        if not np.isfinite(self.cc).all():
+            raise ValueError("two_point must be finite on the grid")
+        scale = 1e-9 * max(1.0, np.abs(self.cc).max())
+        defect = np.conj(self.cc.T)
+        defect -= self.cc
+        if np.abs(defect).max() > scale:
+            raise ValueError("two_point violates C(tau,s) = conj(C(s,tau)) "
+                             "on the grid")
+        self.cc *= g * g
         if bath.mean is None:
             self.mvec = np.zeros(m1, dtype=complex)
         else:
-            self.mvec = _broadcast_values(g * bath.mean(t), (m1,))
+            mean = bath.mean(t)
+            means = _broadcast_values(mean, (m1,))
+            if not np.isfinite(means).all():
+                raise ValueError("mean must be finite on the grid")
+            # <phi(tau)> of a Hermitian phi is real
+            if np.abs(means.imag).max() > 1e-9 * max(1.0, np.abs(means).max()):
+                raise ValueError("mean must be real on the grid")
+            self.mvec = _broadcast_values(g * mean, (m1,))
             self.cc -= np.multiply.outer(self.mvec, self.mvec)
 
     def _chain(self, signs, idx):

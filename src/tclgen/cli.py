@@ -282,15 +282,10 @@ def _write(out_dir, name, text):
     return path
 
 
-def _require_finite(what, *arrays):
-    """Refuse a run whose results overflowed, before any file is written.
-
-    An array given as None is absent and skipped.
-    """
-    for arr in arrays:
-        if arr is not None and not np.isfinite(arr).all():
-            raise ValueError(f"the {what} is not finite: the run overflowed "
-                             "at this coupling and grid")
+# the refusal of a run whose results are not finite, before any file is
+# written
+OVERFLOWED = ("the {} is not finite: the run overflowed at this coupling "
+              "and grid")
 
 
 def _summary(out_dir, payload):
@@ -305,7 +300,7 @@ def cmd_evaluate(args, parsed):
     kind = terms.ADJOINT if parsed["adjoint"] else terms.SCHRODINGER
     table = superops.generator_table(model, quad, parsed["order"],
                                      _gen_path(parsed), kind)
-    _require_finite("generator table", table)
+    propagate.require_finite(OVERFLOWED.format("generator table"), table)
     # one line per matrix entry, grid time outermost, then row, then column
     cells = table[0].size
     row, col = np.divmod(np.tile(np.arange(cells), len(table)),
@@ -340,8 +335,9 @@ def cmd_propagate(args, parsed):
         traj = propagate.propagate_state(model, parsed["rho0"], grid,
                                          parsed["order"], quad=quad,
                                          path=_gen_path(parsed))
-    _require_finite("trajectory", traj.payload, traj.trace_dev,
-                    traj.herm_residual, traj.min_eig, traj.unitality_dev)
+    propagate.require_finite(OVERFLOWED.format("trajectory"), traj.payload,
+                             traj.trace_dev, traj.herm_residual,
+                             traj.min_eig, traj.unitality_dev)
     _write(args.out, "trajectory.csv", propagate.trajectory_to_csv(traj))
     summary = {
         "task": "propagate",

@@ -11,10 +11,11 @@ interpolation are both O(h^2), so the end-to-end error is O(h^2): halving h
 divides the final-state error by about four (measured observed order 2.0-2.1
 from M=50 to 400), not by sixteen.  Health monitors (trace deviation,
 hermiticity residual, minimum eigenvalue) are diagnostics only: nothing is
-renormalized or clamped.  The adjoint equation preserves the identity, not
-the trace of the observable, so an observable run also carries the
-identity through the same steps and reports its unitality deviation
-||Phi~_t(1) - 1||_F.
+renormalized or clamped, and ``truncated_states`` returns the state payload
+of ``propagate_state`` without them, for callers that write no monitor.
+The adjoint equation preserves the identity, not the trace of the
+observable, so an observable run also carries the identity through the
+same steps and reports its unitality deviation ||Phi~_t(1) - 1||_F.
 """
 
 from __future__ import annotations
@@ -132,45 +133,61 @@ def _quad_for(grid, N, quad):
     return quad
 
 
-def _propagate(model, x0, grid, N, quad, path, kind, trace_ref):
-    """RK4 trajectory of ``x0`` under the generator of ``kind``.
+def _run(model, x0, grid, N, quad, path, kind):
+    """RK4 run of ``x0`` under the generator of ``kind``, as ``_rk4_run``
+    returns it: the payload only, no monitor."""
+    l_tab = generator_table(model, _quad_for(grid, N, quad), N, path, kind)
+    return _rk4_run(l_tab, x0, grid.h)
 
-    An adjoint run carries the identity beside ``x0`` for its unitality
-    deviation.
+
+def truncated_states(model, rho0, grid, N, quad=None, path=MATRIX_RECURSION):
+    """The (M+1, d_S, d_S) states of the truncated master equation.
+
+    This is ``propagate_state``'s payload, bit for bit, without its
+    monitors.
     """
-    quad = _quad_for(grid, N, quad)
-    l_tab = generator_table(model, quad, N, path, kind)
+    rho0 = _validate_state(rho0)
     d = model.d_S
-    unitality_dev = None
-    if kind == ADJOINT:
-        run = _rk4_run(l_tab, np.stack((x0, np.eye(d))), grid.h)
-        payload = run[:, 0].reshape(-1, d, d)
-        unitality_dev = np.linalg.norm(run[:, 1] - vec(np.eye(d)), axis=1)
-    else:
-        payload = _rk4_run(l_tab, x0, grid.h).reshape(-1, d, d)
-    return Trajectory(grid.times.copy(), payload,
-                      *_monitors(payload, trace_ref), unitality_dev)
+    if rho0.shape[0] != d:
+        raise ValueError("rho0 dimension does not match the model")
+    return _run(model, rho0, grid, N, quad, path,
+                SCHRODINGER).reshape(-1, d, d)
 
 
 def propagate_state(model, rho0, grid, N, quad=None, path=MATRIX_RECURSION):
     """Integrate the truncated master equation for the state."""
-    rho0 = _validate_state(rho0)
-    if rho0.shape[0] != model.d_S:
-        raise ValueError("rho0 dimension does not match the model")
-    return _propagate(model, rho0, grid, N, quad, path, SCHRODINGER, 1.0)
+    payload = truncated_states(model, rho0, grid, N, quad, path)
+    return Trajectory(grid.times.copy(), payload, *_monitors(payload, 1.0))
 
 
 def propagate_observable(model, O0, grid, N, quad=None, path=MATRIX_RECURSION):
-    """Integrate the adjoint equation for an observable."""
+    """Integrate the adjoint equation for an observable.
+
+    The identity is carried beside ``O0`` for the unitality deviation.
+    """
     O0 = np.asarray(O0, dtype=complex)
     if not np.isfinite(O0).all():
         raise ValueError("O0 must be finite")
     if np.linalg.norm(O0 - O0.conj().T) > PSD_TOL:
         raise ValueError("O0 must be Hermitian")
-    if O0.shape[0] != model.d_S:
+    d = model.d_S
+    if O0.shape[0] != d:
         raise ValueError("O0 dimension does not match the model")
-    return _propagate(model, O0, grid, N, quad, path, ADJOINT,
-                      float(np.real(np.trace(O0))))
+    run = _run(model, np.stack((O0, np.eye(d))), grid, N, quad, path, ADJOINT)
+    payload = run[:, 0].reshape(-1, d, d)
+    return Trajectory(grid.times.copy(), payload,
+                      *_monitors(payload, float(np.real(np.trace(O0)))),
+                      np.linalg.norm(run[:, 1] - vec(np.eye(d)), axis=1))
+
+
+def require_finite(message, *arrays):
+    """Raise ``ValueError(message)`` if a given array has a NaN or infinity.
+
+    An array given as None is absent and skipped.
+    """
+    for arr in arrays:
+        if arr is not None and not np.isfinite(arr).all():
+            raise ValueError(message)
 
 
 def format_rows(table, fmt):

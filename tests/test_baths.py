@@ -204,6 +204,29 @@ class TestSpecValidation:
         GaussianBath(thermal_mode_two_point(1.0),
                      mean=lambda tau: 0.4 * np.cos(tau) + 0j)
 
+    @pytest.mark.parametrize("two_point,mean,match", [
+        (thermal_mode_two_point(1.0),
+         lambda tau: 0.3 + 0.5j * np.maximum(tau - 1.0, 0.0),
+         "mean must be real on the grid"),
+        (lambda tau, s: (thermal_mode_two_point(1.0)(tau, s)
+                         + np.maximum(tau - 1.0, 0.0)),
+         None, "conj"),
+        (lambda tau, s: np.where(tau > 2.0, np.nan, 1.0 + 0.0 * s), None,
+         "two_point must be finite on the grid"),
+        (thermal_mode_two_point(1.0),
+         lambda tau: np.where(tau > 2.0, np.inf, 0.3), "mean must be finite"),
+    ], ids=["mean-complex-after-one", "kernel-skew-after-one",
+            "kernel-nan-after-two", "mean-inf-after-two"])
+    def test_grid_table_refuses_defects_beyond_the_sampled_times(
+            self, two_point, mean, match):
+        # the bath spot-checks four times in [0, 1), so these construct;
+        # on a grid to T = 5 the mean's imaginary part reaches 2.0 and the
+        # kernel's hermiticity defect 4.0, and the table refuses them
+        bath = GaussianBath(two_point, mean=mean)
+        with pytest.raises(ValueError, match=match):
+            correlator_table(bath, np.linspace(0.0, 5.0, 41), 0.3)
+        correlator_table(bath, np.linspace(0.0, 1.0, 11), 0.3)
+
     def test_query_invariants(self):
         with pytest.raises(ValueError):
             CorrelationQuery("+-", (0.1,))

@@ -737,13 +737,13 @@ class TestErrorPaths:
                                        monkeypatch, couplings):
         from tclgen import oracle
         calls = []
-        exact = oracle.exact_reduced_trajectory
+        exact = oracle.exact_reduced_states
 
         def counted(*args):
             calls.append(args)
             return exact(*args)
 
-        monkeypatch.setattr(oracle, "exact_reduced_trajectory", counted)
+        monkeypatch.setattr(oracle, "exact_reduced_states", counted)
         cfg = dephasing_config(grid={"T": 1.0, "M": 20})
         if couplings is None:
             cfg["model"]["g"] = 1e200

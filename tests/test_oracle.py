@@ -6,11 +6,12 @@ from tclgen.baths import ExactBath, boson_mode_bath, qubit_bath
 from tclgen.oracle import (
     FullModel,
     duality_check,
+    exact_reduced_states,
     exact_reduced_trajectory,
     scaling_probe,
     tcl_vs_exact_error,
 )
-from tclgen.propagate import propagate_observable
+from tclgen.propagate import propagate_observable, propagate_state
 from tclgen.superops import Grid, ModelSpec, QuadratureConfig
 from test_baths import is_stationary
 
@@ -18,6 +19,7 @@ rng = np.random.default_rng(57)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
+SY = np.array([[0, -1j], [1j, 0]])
 
 
 def rand_herm(d, gen=rng):
@@ -145,6 +147,31 @@ class TestExactTrajectory:
         grid = Grid(5.0, 16)
         got = exact_reduced_trajectory(full, grid).payload
         assert np.abs(got - explicit_reduced(full, grid)).max() < 1e-12
+
+    @pytest.mark.parametrize("h_s,dtype", [
+        (0.5 * SZ + 0.2 * SX, np.float64), (0.5 * SZ + 0.2 * SY, np.complex128),
+    ], ids=["real", "sigma-y"])
+    def test_composite_hamiltonian_dtype_follows_the_inputs(self, h_s, dtype):
+        # a real H_total runs eigh's real symmetric solver; both kinds
+        # match the dense expm route at every grid time
+        model = ModelSpec(h_s, SX, 0.3,
+                          boson_mode_bath(1.0, 6, beta=1.0, shift=0.7))
+        full = FullModel(model, rand_state(2, np.random.default_rng(3)))
+        assert full.H_total.dtype == dtype
+        grid = Grid(2.0, 10)
+        got = exact_reduced_states(full, grid)
+        assert np.abs(got - explicit_reduced(full, grid)).max() < 1e-12
+
+    @pytest.mark.parametrize("h_s", [0.5 * SZ + 0.2 * SX, 0.5 * SZ + 0.2 * SY],
+                             ids=["real", "sigma-y"])
+    def test_states_are_the_trajectory_payload(self, h_s):
+        model = ModelSpec(h_s, SX, 0.3,
+                          boson_mode_bath(1.0, 6, beta=1.0, shift=0.7))
+        full = FullModel(model, rand_state(2, np.random.default_rng(4)))
+        grid = Grid(2.0, 10)
+        np.testing.assert_array_equal(
+            exact_reduced_states(full, grid),
+            exact_reduced_trajectory(full, grid).payload)
 
     def test_desk_dimension_bound(self):
         bath = boson_mode_bath(1.0, 4095)
@@ -287,3 +314,28 @@ def test_tcl_vs_exact_error_series_shape():
     assert series.shape == (81,)
     assert err == pytest.approx(series.max())
     assert series[0] == pytest.approx(0.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("h_s", [0.5 * SZ + 0.2 * SX, 0.5 * SZ + 0.2 * SY],
+                         ids=["real", "sigma-y"])
+def test_tcl_vs_exact_error_is_the_distance_of_the_public_payloads(h_s):
+    # the comparison computes no monitor, but its two payloads are those
+    # of propagate_state and exact_reduced_trajectory, bit for bit
+    model = ModelSpec(h_s, SX, 0.2, boson_mode_bath(1.0, 6, shift=0.7))
+    rho0 = np.array([[0.8, 0.3 - 0.1j], [0.3 + 0.1j, 0.2]])
+    grid = Grid(3.0, 30)
+    err, series = tcl_vs_exact_error(model, rho0, grid, 3)
+    diff = (propagate_state(model, rho0, grid, 3).payload
+            - exact_reduced_trajectory(FullModel(model, rho0), grid).payload)
+    want = np.linalg.svd(diff, compute_uv=False).sum(-1)
+    np.testing.assert_array_equal(series, want)
+    assert err == want.max()
+
+
+def test_tcl_vs_exact_error_validates_rho0_first():
+    model, _ = dephasing_setup()
+    for rho0, match in ((np.array([[0.5, 0.5], [0.1, 0.5]]), "Hermitian"),
+                        (np.eye(2), "unit trace"),
+                        (np.eye(3) / 3, "dimension")):
+        with pytest.raises(ValueError, match=match):
+            tcl_vs_exact_error(model, rho0, Grid(1.0, 20), 2)

@@ -11,8 +11,11 @@ from tclgen.propagate import (
     propagate_observable,
     propagate_state,
     trajectory_to_csv,
+    truncated_states,
 )
 from tclgen.superops import (
+    MATRIX_RECURSION,
+    TERM_EXPANSION,
     Grid,
     ModelSpec,
     QuadratureConfig,
@@ -106,6 +109,17 @@ def test_state_validation():
     bad = np.array([[0.5, 0.5], [0.1, 0.5]])
     with pytest.raises(ValueError):
         propagate_state(model, bad, grid, 1)
+
+
+def test_truncated_states_are_the_trajectory_payload():
+    model = ModelSpec(rand_herm(2), rand_herm(2), 0.2,
+                      qubit_bath(1.0, beta=0.8, shift=0.3))
+    rho0 = rand_state(2)
+    grid = Grid(2.0, 30)
+    for path in (MATRIX_RECURSION, TERM_EXPANSION):
+        np.testing.assert_array_equal(
+            truncated_states(model, rho0, grid, 3, path=path),
+            propagate_state(model, rho0, grid, 3, path=path).payload)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
