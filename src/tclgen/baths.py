@@ -129,6 +129,28 @@ def _broadcast_values(x, shape):
     return np.array(np.broadcast_to(x, shape), dtype=complex)
 
 
+def _check_kernel(cc, means, where):
+    """Refuse a Gaussian kernel and mean sampled on a set of times.
+
+    ``cc`` is C(tau, s) on the square of the times and ``means`` m(tau) on
+    them.  The kernel must be finite and Hermitian, C(tau, s) = conj(C(s,
+    tau)), and the mean finite and real, each within 1e-9 of its largest
+    entry (or of 1); ``where`` names the times in the messages.
+    """
+    # before the comparisons below, which NaN fails silently
+    for name, x in (("two_point", cc), ("mean", means)):
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} must be finite on {where}")
+    defect = np.conj(cc.T)
+    defect -= cc
+    if np.abs(defect).max() > 1e-9 * max(1.0, np.abs(cc).max()):
+        raise ValueError("two_point violates C(tau,s) = conj(C(s,tau)) on "
+                         + where)
+    # <phi(tau)> of a Hermitian phi is real
+    if np.abs(means.imag).max() > 1e-9 * max(1.0, np.abs(means).max()):
+        raise ValueError(f"mean must be real on {where}")
+
+
 @dataclass(frozen=True)
 class GaussianBath:
     """Bath defined by its two-point function C(tau, s) = <phi(tau) phi(s)>.
@@ -138,8 +160,9 @@ class GaussianBath:
     must broadcast like ufuncs (a constant may come back as a scalar), so
     that a grid table is one call.  Finiteness, broadcasting, the
     hermiticity of C and a real mean are spot-checked on a small sample at
-    construction; ``GaussianCorrelatorTable`` checks finiteness, hermiticity
-    and a real mean again on every time of its grid.
+    construction; ``GaussianCorrelatorTable`` makes the same
+    ``_check_kernel`` of finiteness, hermiticity and a real mean again on
+    every time of its grid.
     """
 
     two_point: object
@@ -161,21 +184,14 @@ class GaussianBath:
         except (TypeError, ValueError) as exc:
             raise ValueError("two_point and mean must accept NumPy arrays "
                              "of times and broadcast them") from exc
-        # before the comparisons below, which NaN fails silently
-        if not all(np.isfinite(v).all()
-                   for v in (grid, means, single, single_means)):
-            raise ValueError("two_point and mean must be finite on the "
-                             "sampled times")
+        _check_kernel(grid, means, "the sampled times")
+        # written so that NaN fails it: the checked array samples are
+        # finite, so a NaN scalar value is a broadcasting defect
         scale = 1e-9 * max(1.0, np.abs(grid).max())
-        if (np.abs(grid - single).max() > scale
-                or np.abs(means - single_means).max() > scale):
+        if not (np.abs(grid - single).max() <= scale
+                and np.abs(means - single_means).max() <= scale):
             raise ValueError("two_point and mean must broadcast elementwise: "
                              "arrays of times give other values than scalars")
-        if np.abs(grid - grid.conj().T).max() > scale:
-            raise ValueError("two_point violates C(tau,s) = conj(C(s,tau))")
-        # <phi(tau)> of a Hermitian phi is real
-        if np.abs(means.imag).max() > 1e-9 * max(1.0, np.abs(means).max()):
-            raise ValueError("mean must be real on the sampled times")
 
     def mean_at(self, tau):
         return 0.0 if self.mean is None else complex(self.mean(tau))
@@ -435,26 +451,12 @@ class GaussianCorrelatorTable(_GridTable):
         # the kernel and the mean are checked again on every grid time
         self.cc = _broadcast_values(bath.two_point(t[:, None], t[None, :]),
                                     (m1, m1))
-        # before the comparisons below, which NaN fails silently
-        if not np.isfinite(self.cc).all():
-            raise ValueError("two_point must be finite on the grid")
-        scale = 1e-9 * max(1.0, np.abs(self.cc).max())
-        defect = np.conj(self.cc.T)
-        defect -= self.cc
-        if np.abs(defect).max() > scale:
-            raise ValueError("two_point violates C(tau,s) = conj(C(s,tau)) "
-                             "on the grid")
+        mean = 0.0 if bath.mean is None else bath.mean(t)
+        _check_kernel(self.cc, _broadcast_values(mean, (m1,)), "the grid")
         self.cc *= g * g
         if bath.mean is None:
             self.mvec = np.zeros(m1, dtype=complex)
         else:
-            mean = bath.mean(t)
-            means = _broadcast_values(mean, (m1,))
-            if not np.isfinite(means).all():
-                raise ValueError("mean must be finite on the grid")
-            # <phi(tau)> of a Hermitian phi is real
-            if np.abs(means.imag).max() > 1e-9 * max(1.0, np.abs(means).max()):
-                raise ValueError("mean must be real on the grid")
             self.mvec = _broadcast_values(g * mean, (m1,))
             self.cc -= np.multiply.outer(self.mvec, self.mvec)
 

@@ -109,13 +109,19 @@ def _rk4_run(l_tab, x0, h):
     return out if one else out[..., 0]
 
 
-def _validate_state(rho0):
-    rho0 = np.asarray(rho0, dtype=complex)
+def _hermitian_operator(x, name):
+    """``x`` as a complex array, refused unless finite and Hermitian."""
+    x = np.asarray(x, dtype=complex)
     # before the tolerance checks, which NaN fails silently
-    if not np.isfinite(rho0).all():
-        raise ValueError("rho0 must be finite")
-    if np.linalg.norm(rho0 - rho0.conj().T) > PSD_TOL:
-        raise ValueError("rho0 must be Hermitian")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite")
+    if np.linalg.norm(x - x.conj().T) > PSD_TOL:
+        raise ValueError(f"{name} must be Hermitian")
+    return x
+
+
+def _validate_state(rho0):
+    rho0 = _hermitian_operator(rho0, "rho0")
     if abs(np.trace(rho0) - 1.0) > PSD_TOL:
         raise ValueError("rho0 must have unit trace")
     if np.linalg.eigvalsh(rho0).min() < -PSD_TOL:
@@ -165,11 +171,7 @@ def propagate_observable(model, O0, grid, N, quad=None, path=MATRIX_RECURSION):
 
     The identity is carried beside ``O0`` for the unitality deviation.
     """
-    O0 = np.asarray(O0, dtype=complex)
-    if not np.isfinite(O0).all():
-        raise ValueError("O0 must be finite")
-    if np.linalg.norm(O0 - O0.conj().T) > PSD_TOL:
-        raise ValueError("O0 must be Hermitian")
+    O0 = _hermitian_operator(O0, "O0")
     d = model.d_S
     if O0.shape[0] != d:
         raise ValueError("O0 dimension does not match the model")

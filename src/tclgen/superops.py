@@ -65,9 +65,11 @@ depend on m: level L of a sweep holds them for all K^L branch strings, and
 its traced top gives every chain of size L+1.  Level 1 is two outer
 products per branch, and each deeper level applies every ``Op_k`` to
 ``[E + wb/2 X, E + c/2 D]``.  The levels run over blocks of grid points,
-as many as fit a cache-sized buffer budget: each step is one batched NumPy
-call per block, about a dozen per level, and only the running sum E takes
-one call per point and level.
+as many as keep a block's states and temporaries within a cache-sized
+budget: each step is one batched NumPy expression on plain arrays per
+block, about a dozen per level, and only the running sum E takes one call
+per point and level.  Nothing but the traces and each level's carried E
+outlives a block.
 
 Level 0 is the first moment ``Tr(phi_j rho_E)``, a Gaussian table's mean.
 When two slots are the longest chain of a sweep, no deeper level reads the
@@ -155,8 +157,9 @@ from tclgen.terms import (
 TERM_EXPANSION = "term_expansion"
 MATRIX_RECURSION = "matrix_recursion"
 
-# complex elements (2 MiB) of the buffers of one block of grid points in
-# the exact-bath sweep: few enough to stay in a core's cache
+# complex elements (2 MiB) that bound the arrays one block of grid points
+# holds at once in the exact-bath sweep: few enough to stay in a core's
+# cache
 _SWEEP_BLOCK = 2 ** 17
 
 
@@ -457,21 +460,20 @@ class GeneratorEngine:
         max_order links, which stays within the kept levels.  Each level
         costs O(M K^L (d^6 d_R^2 + d^4 d_R^3)).
 
-        The grid runs in blocks of points, each level of a block in one
-        batch: every buffer has a leading block axis, and each per-point
-        product is one GEMM of a batched matmul.  A block holds as many
-        points (at least one) as fit ``_SWEEP_BLOCK`` complex elements of
-        state buffers, (8 K^(N-2) + 3 (K + ... + K^(N-1))) d^4 d_R^2 per
-        point.  Row 0 of a level's E holds the sum carried from the earlier
-        blocks, and each later row adds wb X of the point before it to the
-        row above, one add per point and level: ``cumsum`` over the block
-        axis would run one inner loop per state element.  Every sum is
-        thus formed in grid order, as with one point per block, and the
-        traces do not depend on the block length to the last bit.  The
-        buffers live for this call, the views of a block length are made
-        once, and each work view starts at the front of one flat buffer (a
-        reshaped slice of a stacked buffer could be a copy, losing an
-        ``out=``).
+        The grid runs in blocks of points, and each level of a block is a
+        few NumPy expressions on arrays with a leading block axis: each
+        per-point product is one GEMM of a batched matmul.  A block holds as
+        many points (at least one) as fit ``_SWEEP_BLOCK`` complex elements
+        at (8 K^(N-2) + 3 (K + ... + K^(N-1))) d^4 d_R^2 per point.  For K
+        <= 2 that is at least the (9 + 4 K) K^(N-2) d^4 d_R^2 that the
+        states and temporaries of the deepest level step hold at once, so a
+        block's arrays stay within the budget.  Only the traces and each
+        level's E sum outlive a block: E of a block's first point is the sum
+        carried from the earlier blocks, and each later point adds wb X of
+        the point before it, one add per point and level (``cumsum`` over
+        the block axis would run one inner loop per state element).  Every
+        sum is thus formed in grid order, as with one point per block, and
+        the traces do not depend on the block length to the last bit.
         """
         nb = len(left)
         m1, d2, top = self.grid.M + 1, self.d2, self.sweep_slots
@@ -481,12 +483,8 @@ class GeneratorEngine:
         phi, rho = self.sweep_bath
         de = rho.shape[0]
         shape = (d2, d2, de, de)
-        size = d2 * d2 * de * de
-        # block buffers per grid point: 8 K^(N-2) work states and the
-        # [E, X, D] states of every level
-        work_size = 8 * nb ** (top - 2) * size
-        blk = max(1, min(m1, _SWEEP_BLOCK
-                         // (work_size + 3 * sum(counts) * size)))
+        blk = max(1, min(m1, _SWEEP_BLOCK // (
+            (8 * nb ** (top - 2) + 3 * sum(counts)) * d2 * d2 * de * de)))
         # per grid point: both factors of every branch as one (K d^2 d^2, 2)
         # matrix for level 1, and each side alone for the deeper levels
         both = np.ascontiguousarray(
@@ -495,87 +493,40 @@ class GeneratorEngine:
                        for f in (left, right))
         halves = 0.5 * np.stack((self.wb, self.c), -1)[(...,) + (None,) * 5]
         wb = self.wb[(slice(None),) + (None,) * 5]
-        # row b of a level: [E, X, D] of the block's point b
-        states = [np.zeros((blk, 3, n) + shape, dtype=complex)
-                  for n in counts]
-        traces = [np.empty((m1, 3, n, d2, d2), dtype=complex)
-                  for n in counts]
-        work = np.empty(blk * work_size, dtype=complex)
-        # phi_j/2, phi_j^T and the level-1 pair of the block's points
-        bath = np.empty((blk, 4, de, de), dtype=complex)
-
-        def views(b):
-            """The buffer views of a block of b points."""
-            levels = []
-            for lv, (st, tr, n) in enumerate(zip(states, traces, counts)):
-                step = None
-                if lv + 2 < top:
-                    # Op_k on y = [E + wb/2 X, E + c/2 D]: y, its bath
-                    # transpose, p = (phi y/2)^T and q = y phi/2 take 8n
-                    # states a point; the left products reuse the front,
-                    # the right ones go to the next level's X and D, and
-                    # the two sum there
-                    y, yt, p, q = (work[k * 2 * b * n * size:
-                                        (k + 1) * 2 * b * n * size]
-                                   for k in range(4))
-                    lp = work[:2 * b * n * nb * size]
-                    nxt = states[lv + 1][:b, 1:]
-                    step = (y.reshape((b, 2, n) + shape), y.reshape(b, -1, de),
-                            yt.reshape((b, 2, n) + shape),
-                            yt.reshape(b, -1, de),
-                            p.reshape(b, -1, de), q.reshape(b, -1, de),
-                            p.reshape(b, 2, n, 1, d2, -1),
-                            q.reshape(b, 2, n, 1, d2, -1),
-                            lp.reshape(b, 2, n, nb, d2, -1),
-                            lp.reshape((b, 2, n, nb) + shape).swapaxes(-1, -2),
-                            nxt.reshape(b, 2, n, nb, d2, -1),
-                            nxt.reshape((b, 2, n, nb) + shape))
-                run, xs = st[:b, 0], st[:b, 1]
-                levels.append((run, list(zip(run[:-1], run[1:])), run[-1],
-                               st[:b, :1], st[:b, 1:], xs[:-1], xs[-1],
-                               st[:b].reshape(b, -1, de * de),
-                               tr.reshape(m1, -1, 1),
-                               work[:n * size].reshape((n,) + shape), step))
-            half, phi_t, pair = bath[:b, 0], bath[:b, 1], bath[:b, 2:]
-            return (half, half.swapaxes(1, 2), phi_t,
-                    phi_t.reshape(b, -1, 1), pair, pair.reshape(b, 2, -1),
-                    states[0][:b, 1].reshape(b, -1, de * de),
-                    states[0][:b, 1], states[0][:b, 2], levels)
-
-        full = views(blk)
+        phi_t = np.ascontiguousarray(phi.swapaxes(1, 2)).reshape(m1, -1, 1)
+        traces = [np.empty((m1, 3, n, d2, d2), dtype=complex) for n in counts]
+        carry = [np.zeros((n,) + shape, dtype=complex) for n in counts]
         for lo in range(0, m1, blk):
             hi = min(lo + blk, m1)
-            (half, half_t, phi_t, phi_tv, pair, pair2, x1, x, d,
-             levels) = full if hi - lo == blk else views(hi - lo)
-            np.multiply(0.5, phi[lo:hi], out=half)
-            np.copyto(phi_t, phi[lo:hi].swapaxes(1, 2))
+            b, half = hi - lo, 0.5 * phi[lo:hi]
             # level 1: X = D = Op_k(j)[rho_E], two outer products per branch
-            np.matmul(half, rho, out=pair[:, 0])
-            np.matmul(rho, half, out=pair[:, 1])
-            np.matmul(both[lo:hi], pair2, out=x1)
-            np.copyto(d, x)
-            for (run, adds, last, e, xd, xs, x_last, rows, tr, tmp,
-                 step) in levels:
-                if adds:
-                    # E of the block's later points: row k takes wb X of
-                    # point k - 1, then adds E of row k - 1, in grid order
-                    np.multiply(wb[lo:hi - 1], xs, out=run[1:])
-                    for prev, row in adds:
-                        np.add(prev, row, out=row)
-                np.matmul(rows, phi_tv, out=tr[lo:hi])
-                if step is not None:
-                    y, y2, yt, yt2, p2, q2, ps, qs, lp, lpt, nx, nxt = step
-                    np.multiply(halves[lo:hi], xd, out=y)
-                    y += e
-                    np.copyto(yt, y.swapaxes(-1, -2))
-                    np.matmul(yt2, half_t, out=p2)
-                    np.matmul(y2, half, out=q2)
-                    np.matmul(left[lo:hi], ps, out=lp)
-                    np.matmul(right[lo:hi], qs, out=nx)
-                    np.add(lpt, nxt, out=nxt)
-                # row 0, read by this block no more, carries E past it
-                np.multiply(self.wb[hi - 1], x_last, out=tmp)
-                np.add(last, tmp, out=run[0])
+            pair = np.stack((half @ rho, rho @ half), 1).reshape(b, 2, -1)
+            x = (both[lo:hi] @ pair).reshape((b, nb) + shape)
+            xd = x[:, None]
+            for lv, (tr, n) in enumerate(zip(traces, counts)):
+                # E of the block's later points: point k takes wb X of
+                # point k - 1, then adds E of point k - 1, in grid order
+                e = np.empty_like(x)
+                e[0] = carry[lv]
+                np.multiply(wb[lo:hi - 1], x[:-1], out=e[1:])
+                for k in range(1, b):
+                    e[k] += e[k - 1]
+                carry[lv] = e[-1] + self.wb[hi - 1] * x[-1]
+                for rows, st in ((tr[lo:hi, :1], e), (tr[lo:hi, 1:], xd)):
+                    rows[...] = (st.reshape(b, -1, de * de) @ phi_t[lo:hi]
+                                 ).reshape(b, -1, n, d2, d2)
+                if lv + 2 < top:
+                    # Op_k on y = [E + wb/2 X, E + c/2 D]: the left products
+                    # act on p = (phi y/2)^T, the right ones on q = y phi/2
+                    y = halves[lo:hi] * xd + e[:, None]
+                    p = (np.ascontiguousarray(y.swapaxes(-1, -2))
+                         .reshape(b, -1, de) @ half.swapaxes(1, 2))
+                    q = y.reshape(b, -1, de) @ half
+                    xd = (right[lo:hi] @ q.reshape(b, 2, n, 1, d2, -1)
+                          ).reshape((b, 2, n * nb) + shape)
+                    xd += (left[lo:hi] @ p.reshape(b, 2, n, 1, d2, -1)
+                           ).reshape((b, 2, n * nb) + shape).swapaxes(-1, -2)
+                    x = xd[:, 0]
         return traces
 
     def _pair_traces(self, left, right):

@@ -33,7 +33,14 @@ from tclgen.superops import (
     unvec,
     vec,
 )
-from tclgen.terms import ADJOINT, SCHRODINGER, ClusteredTerm, momentum_terms
+from tclgen.terms import (
+    ADJOINT,
+    MINUS,
+    PLUS,
+    SCHRODINGER,
+    ClusteredTerm,
+    momentum_terms,
+)
 from test_baths import is_stationary
 
 rng = np.random.default_rng(23)
@@ -1089,6 +1096,38 @@ class TestWholeGridStacks:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * 1601 ** 2 * 8
+
+    @pytest.mark.parametrize("branches", [1, 2])
+    def test_exact_sweep_memory_is_bounded_by_the_block_budget(self,
+                                                                branches):
+        # the level sweep at N = 4 keeps its traces and O(M) copies of the
+        # factors, and the states of one block of grid points at a time:
+        # below a few times _SWEEP_BLOCK complex elements (2 MiB), while
+        # one (d^2, d^2, d_R, d_R) state on every grid point takes 3.5 MiB
+        import tracemalloc
+
+        from tclgen import superops
+        model = ModelSpec(0.5 * SZ + 0.2 * SX, SX, 0.3,
+                          boson_mode_bath(1.0, 6, shift=0.7))
+        eng = superops.GeneratorEngine(
+            model, QuadratureConfig(Grid(5.0, 1600), max_order=4))
+        minus, plus = eng.a_tab[MINUS], eng.a_tab[PLUS]
+        left, right = ((minus + plus)[None], (minus - plus)[None])
+        if branches == 2:
+            left, right = (np.stack((minus, plus)),
+                           np.stack((minus, -plus)))
+        tracemalloc.start()
+        try:
+            traces = eng._level_traces(left, right)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [len(tr[0, 0]) for tr in traces] == [branches ** lv
+                                                    for lv in (1, 2, 3)]
+        # both factors, once as level-1 pairs and once per side
+        factors = 4 * left.nbytes
+        excess = peak - sum(tr.nbytes for tr in traces) - factors
+        assert 0 < excess < 3 * superops._SWEEP_BLOCK * 16
 
     def test_gaussian_second_order_builds_no_grid_square(self):
         # the pair rule reads the earlier grid points from slices of the
