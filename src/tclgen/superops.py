@@ -493,12 +493,12 @@ class GeneratorEngine:
                        for f in (left, right))
         halves = 0.5 * np.stack((self.wb, self.c), -1)[(...,) + (None,) * 5]
         wb = self.wb[(slice(None),) + (None,) * 5]
-        phi_t = np.ascontiguousarray(phi.swapaxes(1, 2)).reshape(m1, -1, 1)
         traces = [np.empty((m1, 3, n, d2, d2), dtype=complex) for n in counts]
         carry = [np.zeros((n,) + shape, dtype=complex) for n in counts]
         for lo in range(0, m1, blk):
             hi = min(lo + blk, m1)
             b, half = hi - lo, 0.5 * phi[lo:hi]
+            phi_t = phi[lo:hi].swapaxes(1, 2).reshape(b, -1, 1)
             # level 1: X = D = Op_k(j)[rho_E], two outer products per branch
             pair = np.stack((half @ rho, rho @ half), 1).reshape(b, 2, -1)
             x = (both[lo:hi] @ pair).reshape((b, nb) + shape)
@@ -513,7 +513,7 @@ class GeneratorEngine:
                     e[k] += e[k - 1]
                 carry[lv] = e[-1] + self.wb[hi - 1] * x[-1]
                 for rows, st in ((tr[lo:hi, :1], e), (tr[lo:hi, 1:], xd)):
-                    rows[...] = (st.reshape(b, -1, de * de) @ phi_t[lo:hi]
+                    rows[...] = (st.reshape(b, -1, de * de) @ phi_t
                                  ).reshape(b, -1, n, d2, d2)
                 if lv + 2 < top:
                     # Op_k on y = [E + wb/2 X, E + c/2 D]: the left products

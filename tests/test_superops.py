@@ -1102,8 +1102,8 @@ class TestWholeGridStacks:
                                                                 branches):
         # the level sweep at N = 4 keeps its traces and O(M) copies of the
         # factors, and the states of one block of grid points at a time:
-        # below a few times _SWEEP_BLOCK complex elements (2 MiB), while
-        # one (d^2, d^2, d_R, d_R) state on every grid point takes 3.5 MiB
+        # below twice _SWEEP_BLOCK complex elements (4 MiB), while one
+        # (d^2, d^2, d_R, d_R) state on every grid point takes 3.5 MiB
         import tracemalloc
 
         from tclgen import superops
@@ -1127,7 +1127,7 @@ class TestWholeGridStacks:
         # both factors, once as level-1 pairs and once per side
         factors = 4 * left.nbytes
         excess = peak - sum(tr.nbytes for tr in traces) - factors
-        assert 0 < excess < 3 * superops._SWEEP_BLOCK * 16
+        assert 0 < excess < 2 * superops._SWEEP_BLOCK * 16
 
     def test_gaussian_second_order_builds_no_grid_square(self):
         # the pair rule reads the earlier grid points from slices of the
