@@ -64,10 +64,17 @@ def _eigenbasis(H):
     return np.real(np.diag(H)), np.eye(len(H))
 
 
-def _phases(e, times):
-    """``exp(i (e_a - e_b) t)`` for every t in ``times``, shape (T, d, d)."""
+def _phased(x, e, times):
+    """``x * exp(i (e_a - e_b) t)`` for every t in ``times``, (T, d, d).
+
+    The phases are built in the result itself, so no other array of its
+    size is made; ``x`` is one (d, d) matrix or a (T, d, d) stack.
+    """
     t = np.asarray(times, dtype=float)
-    return np.exp(1j * np.subtract.outer(e, e)[None] * t[:, None, None])
+    out = np.zeros((len(t), len(e), len(e)), dtype=complex)
+    np.multiply(np.subtract.outer(e, e), t[:, None, None], out=out.imag)
+    np.exp(out, out=out)
+    return np.multiply(x, out, out=out)
 
 
 def interaction_picture(H, X, times):
@@ -80,7 +87,7 @@ def interaction_picture(H, X, times):
     """
     e, v = _eigenbasis(H)
     vh = v.conj().T
-    return v @ ((vh @ X @ v) * _phases(e, times)) @ vh
+    return v @ _phased(vh @ X @ v, e, times) @ vh
 
 
 @dataclass(frozen=True)
@@ -364,41 +371,31 @@ class ExactCorrelatorTable(_GridTable):
     exactly Hermitian, and so is each ``phi_tab[j]``, as the phases are
     exact conjugates of their transposes.  A diagonal H_E keeps its basis,
     so there the table is the bath's own matrices times the phases.
+
+    Given ``max_order``, both keep only the levels within max_order // 2
+    links of the support of rho_E, levels a and b being linked when
+    ``phi_e[a, b]`` is nonzero: a chain of n slots traced on rho_E is a sum
+    over closed walks of n links from that support, so every chain of up
+    to max_order slots stays exact.  Only exact zeros cut a link; the
+    default keeps every level.  The phases are built in the table itself.
     """
 
     # chain states are built in batches of at most this many matrix elements
     CHUNK = 4_000_000
 
-    def __init__(self, bath, times, g):
+    def __init__(self, bath, times, g, max_order=None):
         super().__init__(bath, times)
         e, v = _eigenbasis(bath.H_E)
-        vh = v.conj().T
-        phi_e, self.rho_e = (_hermitian_part(vh @ mat @ v)
+        phi_e, self.rho_e = (_hermitian_part(v.conj().T @ mat @ v)
                              for mat in (g * bath.phi, bath.rho_E))
-        self.phi_tab = phi_e * _phases(e, self.times)
-
-    def reachable(self, depth):
-        """``(phi_tab, rho_e)`` on the levels a short chain can visit.
-
-        Levels a and b are linked when ``phi_tab[:, a, b]`` is nonzero at
-        some grid time, and only exact zeros count as missing links.  The
-        trace of a chain of n slots on rho_e is a sum over closed walks of
-        n links that start and end on the support of rho_e, so every level
-        it visits lies within n // 2 links of that support.  Keeping the
-        levels within ``depth`` links therefore leaves every chain of at
-        most ``2 depth + 1`` slots exact.  With nothing to drop the table
-        itself is returned, not a copy.
-        """
-        # both matrices are exactly Hermitian, so their patterns are too
-        link = (self.phi_tab != 0).any(axis=0)
-        keep = (self.rho_e != 0).any(axis=0)
-        for _ in range(depth):
-            keep = keep | link[keep].any(axis=0)
-        if keep.all():
-            return self.phi_tab, self.rho_e
-        keep = np.flatnonzero(keep)
-        return (self.phi_tab[:, keep[:, None], keep],
-                self.rho_e[np.ix_(keep, keep)])
+        if max_order is not None:
+            # both matrices are exactly Hermitian, so their patterns are too
+            keep = (self.rho_e != 0).any(axis=0)
+            for _ in range(max_order // 2):
+                keep = keep | (phi_e[keep] != 0).any(axis=0)
+            e, phi_e, self.rho_e = (e[keep], phi_e[np.ix_(keep, keep)],
+                                    self.rho_e[np.ix_(keep, keep)])
+        self.phi_tab = _phased(phi_e, e, self.times)
 
     def _chain(self, signs, idx):
         """Chain value with broadcast grid-index arguments.
@@ -412,7 +409,7 @@ class ExactCorrelatorTable(_GridTable):
             return out
         flat, res = [j.reshape(-1) for j in idx], out.reshape(-1)
         phi = self.phi_tab
-        chunk = max(1, self.CHUNK // self.bath.dim ** 2)
+        chunk = max(1, self.CHUNK // self.rho_e.size)
         for lo in range(0, res.size, chunk):
             part = slice(lo, lo + chunk)
             x = self.rho_e
@@ -480,14 +477,15 @@ class GaussianCorrelatorTable(_GridTable):
     value = _GridTable.value
 
 
-def correlator_table(bath, times, g=1.0):
+def correlator_table(bath, times, g=1.0, max_order=None):
     """Grid table of ``bath`` on ``times`` with the scalar coupling g folded in.
 
     The bath itself is not rescaled: an exact table rotates g*phi, and a
-    Gaussian one tabulates g^2 C and g m.
+    Gaussian one tabulates g^2 C and g m.  ``max_order`` cuts an exact
+    table to the levels its chains can visit (``ExactCorrelatorTable``).
     """
     if isinstance(bath, ExactBath):
-        return ExactCorrelatorTable(bath, times, g)
+        return ExactCorrelatorTable(bath, times, g, max_order)
     if isinstance(bath, GaussianBath):
         return GaussianCorrelatorTable(bath, times, g)
     raise TypeError(f"unsupported bath type {type(bath)!r}")

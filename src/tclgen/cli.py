@@ -379,13 +379,13 @@ def cmd_compare(args, parsed):
     model, grid, quad = _build_problem(parsed)
     if parsed["rho0"] is None:
         raise ConfigError("compare needs model.rho0")
-    err, series = oracle.tcl_vs_exact_error(model, parsed["rho0"], grid,
-                                            parsed["order"], quad=quad)
+    problem = model, parsed["rho0"], grid, parsed["order"]
+    err, series = oracle.tcl_vs_exact_error(*problem, quad, _gen_path(parsed))
     scaling = None
     if parsed["couplings"]:
         # before any write: a coupling may overflow and be refused
-        scaling = oracle.scaling_probe(model, parsed["rho0"], grid,
-                                       parsed["order"], parsed["couplings"])
+        scaling = oracle.scaling_probe(*problem, parsed["couplings"],
+                                       _gen_path(parsed))
     _write(args.out, "distance.csv", "t,trace_distance\n"
            + propagate.format_rows(np.column_stack([grid.times, series]),
                                    ["%.12e"] * 2))

@@ -30,10 +30,16 @@ from tclgen.propagate import (
     require_finite,
     truncated_states,
 )
-from tclgen.superops import apply_superop, evaluate_mu
+from tclgen.superops import MATRIX_RECURSION, apply_superop, evaluate_mu
 from tclgen.terms import ADJOINT, SCHRODINGER
 
 DESK_DIM_BOUND = 4096
+
+
+def _kron(a, b):
+    """``np.kron`` of two square matrices, bit for bit, broadcast at once."""
+    n = len(a) * len(b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
 
 
 @dataclass
@@ -63,10 +69,10 @@ class FullModel:
         if not any(m.imag.any() for m in mats):
             mats = tuple(m.real for m in mats)
         h_s, a, h_e, phi = mats
-        self.H_total = (np.kron(h_s, np.eye(self.d_E))
-                        + np.kron(np.eye(self.d_S), h_e)
-                        + self.model.g * np.kron(a, phi))
-        self.rho_total0 = np.kron(self.rho_S0, bath.rho_E)
+        self.H_total = (_kron(h_s, np.eye(self.d_E))
+                        + _kron(np.eye(self.d_S), h_e)
+                        + self.model.g * _kron(a, phi))
+        self.rho_total0 = _kron(self.rho_S0, bath.rho_E)
 
 
 def exact_reduced_states(full, grid):
@@ -107,7 +113,7 @@ def exact_reduced_trajectory(full, grid):
     return Trajectory(grid.times.copy(), payload, *_monitors(payload, 1.0))
 
 
-def tcl_vs_exact_error(model, rho0, grid, N, quad=None):
+def tcl_vs_exact_error(model, rho0, grid, N, quad=None, path=MATRIX_RECURSION):
     """Trace-norm distance between the truncated and exact dynamics.
 
     Returns its maximum over the grid and the (M+1,) series.  Only the two
@@ -117,9 +123,10 @@ def tcl_vs_exact_error(model, rho0, grid, N, quad=None):
     plus the oracle's, whose eigendecomposition of ``H_total`` takes the
     real symmetric solver on a real model.  ``rho0`` is validated as
     ``propagate_state`` does, and an overflowed truncated run is refused
-    before the exact one is computed.
+    before the exact one is computed.  The truncated run assembles its
+    generator along ``path``.
     """
-    tcl = truncated_states(model, rho0, grid, N, quad=quad)
+    tcl = truncated_states(model, rho0, grid, N, quad, path)
     require_finite("the truncated trajectory is not finite", tcl)
     exact = exact_reduced_states(FullModel(model, rho0), grid)
     require_finite("the exact trajectory is not finite", exact)
@@ -127,7 +134,7 @@ def tcl_vs_exact_error(model, rho0, grid, N, quad=None):
     return float(series.max()), series
 
 
-def scaling_probe(model, rho0, grid, N, couplings):
+def scaling_probe(model, rho0, grid, N, couplings, path=MATRIX_RECURSION):
     """Truncation-order check: err(g) and log2(err(g)/err(g/2)) ratios.
 
     The expected ratio is N+1 when the first neglected expansion order is
@@ -139,7 +146,7 @@ def scaling_probe(model, rho0, grid, N, couplings):
 
     rows = [{"g": float(g),
              "err": tcl_vs_exact_error(replace(model, g=float(g)),
-                                       rho0, grid, N)[0]}
+                                       rho0, grid, N, path=path)[0]}
             for g in couplings]
     for k, row in enumerate(rows):
         row["ratio"] = None

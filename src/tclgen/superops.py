@@ -34,20 +34,18 @@ derivatives) are ``(-1)^n dual(mu_n)``: state/observable duality, order by
 order.  L_n is not mapped, as the dual reverses products.
 
 Chains of one and two slots on either bath, and exact-bath chains of any
-size, come from one ``_sweep`` per branch set.  Exact-bath chains run in
-the eigenbasis of H_E, on the levels a chain can reach.  Levels a and b
-are linked when ``phi_j[a, b]`` is nonzero, and only exact zeros count as
-missing links.  A chain of n slots traced on rho_E is a sum over walks of
-n links that start and end on the support of rho_E, so it never visits a
-level more than n // 2 links away.  The engine keeps the d_R <= d_E
-levels within max_order // 2 links (``ExactCorrelatorTable.reachable``)
-and sweeps (phi_j, rho_E) restricted to them, exactly, for every order up
-to max_order: on a vacuum boson mode d_R = min(max_order // 2 + 1, d_E),
-and a bath whose state has full support keeps d_R = d_E.  A chain of m
-slots is carried from the inside out as running joint system x bath
-states of shape (d^2, d^2, d_R, d_R).  An inner slot at t_j applies the
-operator of its branch k, ``Op_k(j)[Y] = left_k(t_j) (phi_j Y)/2 +
-right_k(t_j) (Y phi_j)/2``::
+size, come from one ``_sweep`` per branch set.  Exact-bath chains run on
+the engine's one table, ``correlator_table`` built with max_order: the
+(phi_j, rho_E) of the eigenbasis of H_E on the d_R <= d_E levels within
+max_order // 2 links of the support of rho_E.  A chain of n slots traced
+on rho_E is a sum over walks of n links that start and end on that
+support, and only exact zeros of phi cut a link, so the dropped levels
+change no chain of up to max_order slots: on a vacuum boson mode d_R =
+min(max_order // 2 + 1, d_E), and a bath whose state has full support
+keeps d_R = d_E.  A chain of m slots is carried from the inside out as
+running joint system x bath states of shape (d^2, d^2, d_R, d_R).  An
+inner slot at t_j applies the operator of its branch k, ``Op_k(j)[Y] =
+left_k(t_j) (phi_j Y)/2 + right_k(t_j) (Y phi_j)/2``::
 
     X_{m-1}(j) = D_{m-1}(j) = Op(j)[rho_E]
     X_k(j) = Op(j)[E_{k+1}(j) + wb(j)/2 X_{k+1}(j)]
@@ -240,7 +238,7 @@ class ModelSpec:
 
     ``bath`` carries the bare coupling operator; the scalar ``g`` is folded
     into the engine's one grid table of the bath, ``correlator_table(bath,
-    times, g)``, so every order-n object scales as g^n.  The spec is
+    times, g, max_order)``, so every order-n object scales as g^n.  The spec is
     immutable (engines are cached per spec); derive variants with
     ``dataclasses.replace``.
     """
@@ -322,11 +320,10 @@ class GeneratorEngine:
         self.quad = quad
         self.grid = quad.grid
         self.a_tab = build_system_superops(model, self.grid)
-        self.ctab = correlator_table(model.bath, self.grid.times, model.g)
-        if self._exact:
-            # the (phi_j, rho_E) of every sweep: the levels that a chain of
-            # up to max_order slots can visit
-            self.sweep_bath = self.ctab.reachable(quad.max_order // 2)
+        # an exact table keeps the levels that a chain of up to max_order
+        # slots can visit
+        self.ctab = correlator_table(model.bath, self.grid.times, model.g,
+                                     quad.max_order)
         # the largest chain that _sweep serves: a Gaussian correlator does
         # not factor into slot states beyond the pair rule of two slots
         self.sweep_slots = (quad.max_order if self._exact
@@ -419,11 +416,9 @@ class GeneratorEngine:
         factor A^-.  Returns (S, M+1, d^2, d^2) stacks, S = 1 + K + ... +
         K^(n-1) for chains of up to n = ``sweep_slots`` slots, of every
         level's chains in turn; within level L the slot-1 branch of chain
-        ``idx`` is ``idx % K``.  On an exact bath (phi_j, rho_E) is
-        ``sweep_bath``, the d_R levels that a chain of max_order slots can
-        visit (a walk of n links from the support of rho_E back to it);
-        dropping the others changes no chain, as only exact zeros of phi_j
-        cut a link.  See the module docstring for the recurrence.
+        ``idx`` is ``idx % K``.  On an exact bath (phi_j, rho_E) is the
+        table's, on the d_R levels that a chain of max_order slots can
+        visit.  See the module docstring for the recurrence.
         """
         lead = self.a_tab[MINUS]
         m1, d2 = self.grid.M + 1, self.d2
@@ -436,8 +431,8 @@ class GeneratorEngine:
         counts = [tr.shape[2] for tr in traces]
         terms = np.empty((3, 1 + sum(counts), m1, d2, d2), dtype=complex)
         # level 0: the first moment Tr(phi_j rho_E), a Gaussian table's mean
-        first = (np.einsum("jab,ba->j", *self.sweep_bath) if self._exact
-                 else self.ctab.mvec)
+        first = (np.einsum("jab,ba->j", self.ctab.phi_tab, self.ctab.rho_e)
+                 if self._exact else self.ctab.mvec)
         terms[:, 0] = first[:, None, None] * lead
         lo = 1
         for n in counts:
@@ -455,10 +450,10 @@ class GeneratorEngine:
 
         One (M+1, 3, K^L, d^2, d^2) array per level L; state ``i`` of level
         L branches into states ``i K + k`` of level L+1.  The states live on
-        the d_R reachable levels of ``sweep_bath``: a state of level L may
-        reach further, but its trace with phi_j closes a walk of L + 1 <=
-        max_order links, which stays within the kept levels.  Each level
-        costs O(M K^L (d^6 d_R^2 + d^4 d_R^3)).
+        the d_R levels of the table: a state of level L may reach further,
+        but its trace with phi_j closes a walk of L + 1 <= max_order links,
+        which stays within the kept levels.  Each level costs O(M K^L (d^6
+        d_R^2 + d^4 d_R^3)).
 
         The grid runs in blocks of points, and each level of a block is a
         few NumPy expressions on arrays with a leading block axis: each
@@ -480,7 +475,7 @@ class GeneratorEngine:
         counts = [nb ** lv for lv in range(1, top)]
         if not counts:
             return []
-        phi, rho = self.sweep_bath
+        phi, rho = self.ctab.phi_tab, self.ctab.rho_e
         de = rho.shape[0]
         shape = (d2, d2, de, de)
         blk = max(1, min(m1, _SWEEP_BLOCK // (
@@ -545,10 +540,9 @@ class GeneratorEngine:
           phi_b rho_E/2``; it gives g transposed, so the partner term needs
           no second product.  The earlier blocks enter through one carried
           (d_R^2, K d^4) matrix, the sum of ``vec(P_b^T)`` and ``vec(Q_b^T)``
-          times the weighted factors, which one GEMM per block updates.  The
-          bath is ``sweep_bath``: g[a, b] closes a walk of two links on the
-          support of rho_E, so the levels more than one link away are
-          dropped, and only exact zeros of phi_j cut a link.  A block of n
+          times the weighted factors, which one GEMM per block updates.
+          g[a, b] closes a walk of two links on the support of rho_E, so the
+          table's d_R levels serve it.  A block of n
           points costs n^2 d_R^2 for its table and 3 n K d^4 d_R^2 for the
           carried trace and update, so blocks of 3 K d^4 points keep the
           table no dearer: O(M (K d^4 d_R^2 + d_R^3)) time and O(K d^4
@@ -569,8 +563,7 @@ class GeneratorEngine:
         wfac = fac * self.wb[:, None]
         out = np.empty((m1, 3, cols), dtype=complex)
         if self._exact:
-            phi, rho = self.sweep_bath
-            de = rho.shape[0]
+            phi, half = self.ctab.phi_tab, 0.5 * self.ctab.rho_e
         else:
             cc, mean = self.ctab.cc, self.ctab.mvec
         # the earlier blocks' (d_R^2, K d^4) matrix (exact) or K d^4 row of
@@ -582,8 +575,8 @@ class GeneratorEngine:
             weighted = wfac[:, lo:hi].reshape(2 * n, -1)
             if self._exact:
                 rows = phi[lo:hi].reshape(n, -1)
-                prod = phi[lo:hi].reshape(-1, de) @ (0.5 * rho)
-                prod = prod.reshape(n, de, de)
+                prod = (phi[lo:hi].reshape(-1, len(half)) @ half).reshape(
+                    phi[lo:hi].shape)
                 # Tr(phi_a Z) = vec(phi_a) . vec(Z^T), and Q_b^T = conj(P_b):
                 # gt[a, b] = Tr(phi_a Q_b) = g[b, a]
                 qt = np.conjugate(prod, out=prod).reshape(n, -1)

@@ -552,6 +552,26 @@ class TestCorrelatorTables:
             tab.phi_tab, interaction_picture(bath.H_E, 0.3 * bath.phi, times))
         assert tab.rho_e.tobytes() == bath.rho_E.tobytes()
 
+    @pytest.mark.parametrize("max_order,levels", [(1, 2), (2, 3), (3, 3),
+                                                  (4, 4), (8, 6)])
+    def test_max_order_keeps_the_levels_a_chain_can_reach(self, max_order,
+                                                          levels):
+        # a state on levels 0 and 1 of a mode reaches max_order // 2 links
+        # further; the kept table is the full one on those levels, bit for
+        # bit, and the default keeps every level
+        mode = boson_mode_bath(1.0, 5, shift=0.5)
+        psi = np.zeros(6)
+        psi[:2] = np.sqrt(0.5)
+        bath = ExactBath(mode.H_E, mode.phi, np.outer(psi, psi))
+        times = np.linspace(0, 2.0, 9)
+        full = correlator_table(bath, times, 0.3)
+        cut = correlator_table(bath, times, 0.3, max_order)
+        assert full.phi_tab.shape == (9, 6, 6)
+        assert cut.phi_tab.shape == (9, levels, levels)
+        assert (cut.phi_tab.tobytes()
+                == full.phi_tab[:, :levels, :levels].tobytes())
+        assert cut.rho_e.tobytes() == full.rho_e[:levels, :levels].tobytes()
+
     def test_gaussian_table_matches_scalar_path(self):
         gb = GaussianBath(thermal_mode_two_point(1.0, beta=1.2))
         times = np.linspace(0, 2.0, 7)

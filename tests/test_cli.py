@@ -417,6 +417,29 @@ class TestSampleConfigs:
                      for name in ("m", "t1"))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("gen_path", ["matrix", "terms"])
+    def test_compare_applies_the_path(self, config_path, tmp_path,
+                                      monkeypatch, gen_path):
+        # the compared run and every coupling of its scaling probe assemble
+        # the generator along the configured path, and along no other
+        from tclgen import superops
+        calls = set()
+        order = superops.GeneratorEngine.generator_order
+
+        def spy(self, n, kind=superops.SCHRODINGER,
+                path=superops.MATRIX_RECURSION):
+            calls.add((self.model.g, path))
+            return order(self, n, kind, path)
+
+        monkeypatch.setattr(superops.GeneratorEngine, "generator_order", spy)
+        cfg = dephasing_config(grid={"T": 2.0, "M": 40}, order=3,
+                               couplings=[0.2, 0.1], path=gen_path)
+        assert main(["compare", "--config", config_path(cfg),
+                     "--out", str(tmp_path / "cmp")]) == 0
+        want = (superops.TERM_EXPANSION if gen_path == "terms"
+                else superops.MATRIX_RECURSION)
+        assert calls == {(g, want) for g in (0.05, 0.2, 0.1)}
+
 
 class TestErrorPaths:
     def test_unknown_key_is_config_error(self, config_path, tmp_path):

@@ -173,6 +173,27 @@ class TestExactTrajectory:
             exact_reduced_states(full, grid),
             exact_reduced_trajectory(full, grid).payload)
 
+    @pytest.mark.parametrize("h_s", [0.5 * SZ + 0.2 * SX, 0.5 * SZ + 0.2 * SY],
+                             ids=["real", "sigma-y"])
+    def test_composite_matrices_are_the_kronecker_products(self, h_s):
+        # the broadcast outer products keep every bit of np.kron, signed
+        # zeros included
+        bath = boson_mode_bath(1.0, 6, beta=1.0, shift=0.7)
+        model = ModelSpec(h_s, SX + 0.3 * SZ, 0.3, bath)
+        rho0 = rand_state(2, np.random.default_rng(5))
+        full = FullModel(model, rho0)
+        mats = (model.H_S, model.A, bath.H_E, bath.phi)
+        if not any(m.imag.any() for m in mats):
+            mats = tuple(m.real for m in mats)
+        h, a, h_e, phi = mats
+        want = (np.kron(h, np.eye(bath.dim)) + np.kron(np.eye(2), h_e)
+                + model.g * np.kron(a, phi))
+        assert full.H_total.dtype == want.dtype
+        assert full.H_total.tobytes() == want.tobytes()
+        assert (full.rho_total0.tobytes()
+                == np.kron(np.asarray(rho0, dtype=complex),
+                           bath.rho_E).tobytes())
+
     def test_desk_dimension_bound(self):
         bath = boson_mode_bath(1.0, 4095)
         model = ModelSpec(rand_herm(2), rand_herm(2), 0.1, bath)

@@ -8,6 +8,7 @@ from tclgen.baths import (
     ExactBath,
     GaussianBath,
     boson_mode_bath,
+    correlator_table,
     qubit_bath,
     thermal_mode_two_point,
 )
@@ -886,7 +887,7 @@ class TestReachableSweep:
         model = reachable_sweep_model(case)
         eng = engine_for(model, QuadratureConfig(Grid(0.1 * 2 * N, 2 * N),
                                                  max_order=N))
-        d_r = len(eng.sweep_bath[1])
+        d_r = len(eng.ctab.rho_e)
         assert (d_r == model.bath.dim) == (case == "thermal"), d_r
         i = 2 if N > 5 else 3
         for kind in (SCHRODINGER, ADJOINT):
@@ -904,16 +905,50 @@ class TestReachableSweep:
     def test_vacuum_mode_sweeps_half_the_order_plus_one_levels(self, N):
         eng = engine_for(reachable_sweep_model("vacuum"),
                          QuadratureConfig(Grid(1.0, 12), max_order=N))
-        phi, rho = eng.sweep_bath
+        phi, rho = eng.ctab.phi_tab, eng.ctab.rho_e
         assert phi.shape == (13, N // 2 + 1, N // 2 + 1)
         assert rho.shape == (N // 2 + 1, N // 2 + 1)
 
     def test_full_support_keeps_the_table_itself(self):
-        eng = engine_for(reachable_sweep_model("thermal"),
-                         QuadratureConfig(Grid(1.0, 12), max_order=6))
-        phi, rho = eng.sweep_bath
-        assert phi is eng.ctab.phi_tab and rho is eng.ctab.rho_e
-        assert rho.shape == (5, 5)
+        # a state of full support keeps every level: the engine's table is
+        # the default one of the bath, bit for bit
+        model = reachable_sweep_model("thermal")
+        grid = Grid(1.0, 12)
+        eng = engine_for(model, QuadratureConfig(grid, max_order=6))
+        full = correlator_table(model.bath, grid.times, model.g)
+        assert eng.ctab.phi_tab.tobytes() == full.phi_tab.tobytes()
+        assert eng.ctab.rho_e.tobytes() == full.rho_e.tobytes()
+        assert eng.ctab.rho_e.shape == (5, 5)
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 6])
+    def test_wide_vacuum_mode_holds_half_the_order_plus_one_levels(self, N):
+        # the engine holds its one table on the kept levels alone: 4 of
+        # the 41 at N = 6
+        model = ModelSpec(0.5 * SZ + 0.2 * SX, SX, 0.3,
+                          boson_mode_bath(1.0, 40, shift=0.3))
+        eng = engine_for(model, QuadratureConfig(Grid(5.0, 40), N))
+        assert eng.ctab.phi_tab.shape == (41, N // 2 + 1, N // 2 + 1)
+        assert eng.ctab.rho_e.shape == (N // 2 + 1, N // 2 + 1)
+
+    def test_engine_build_holds_one_table(self):
+        # a thermal mode keeps all of its d_E = 41 levels; the phases are
+        # written into the table itself, so building the engine peaks at
+        # its table plus the system tables, with no table-sized temporary
+        import tracemalloc
+
+        from tclgen.superops import GeneratorEngine
+        model = ModelSpec(0.5 * SZ + 0.2 * SX, SX, 0.3,
+                          boson_mode_bath(1.0, 40, beta=0.5, shift=0.3))
+        quad = QuadratureConfig(Grid(5.0, 400), max_order=4)
+        tracemalloc.start()
+        try:
+            eng = GeneratorEngine(model, quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = eng.ctab.phi_tab.nbytes
+        assert eng.ctab.phi_tab.shape == (401, 41, 41)
+        assert peak <= 1.25 * table + 2 ** 20
 
     @pytest.mark.parametrize("variant", ["rotated", "dusted"])
     def test_only_exact_zeros_cut_a_link(self, variant):
@@ -936,7 +971,7 @@ class TestReachableSweep:
         quad = QuadratureConfig(Grid(0.8, 12), max_order=4)
         eng, full = (GeneratorEngine(m, quad)
                      for m in (model, replace(model, bath=other)))
-        assert len(eng.sweep_bath[1]) == 3 and len(full.sweep_bath[1]) == 7
+        assert len(eng.ctab.rho_e) == 3 and len(full.ctab.rho_e) == 7
         for kind in (SCHRODINGER, ADJOINT):
             for path in (MATRIX_RECURSION, TERM_EXPANSION):
                 want = eng.generator(4, kind, path)
@@ -960,14 +995,14 @@ class TestSweepBlocks:
 
     @staticmethod
     def block_budget(model, N, path, points):
-        # the block buffers of one grid point (``_level_traces``):
+        # the per-point budget of the block-length rule (``_level_traces``):
         # (8 K^(N-2) + 3 (K + ... + K^(N-1))) d^4 d_R^2 complex elements,
         # K = 1 for the momenta and 2 for the clusters
         eng = engine_for(model, QuadratureConfig(Grid(1.0, 2 * N), N))
         k = 1 if path == MATRIX_RECURSION else 2
         per_point = ((8 * k ** (N - 2) + 3 * sum(k ** lv
                                                    for lv in range(1, N)))
-                     * eng.d2 ** 2 * len(eng.sweep_bath[1]) ** 2)
+                     * eng.d2 ** 2 * len(eng.ctab.rho_e) ** 2)
         return points * per_point
 
     @staticmethod
