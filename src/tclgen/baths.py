@@ -408,15 +408,14 @@ class ExactCorrelatorTable(_GridTable):
         if signs[0] == MINUS:
             return out
         flat, res = [j.reshape(-1) for j in idx], out.reshape(-1)
-        phi = self.phi_tab
         chunk = max(1, self.CHUNK // self.rho_e.size)
         for lo in range(0, res.size, chunk):
             part = slice(lo, lo + chunk)
             x = self.rho_e
             for sign, j in zip(signs[:0:-1], flat[:0:-1]):
-                x = _apply_phi(phi[j[part]], sign, x)
+                x = _apply_phi(self.phi_tab[j[part]], sign, x)
             # leading '+', traced: Tr[(phi x + x phi)/2] = Tr[phi x]
-            lead = phi[flat[0][part]]
+            lead = self.phi_tab[flat[0][part]]
             res[part] = np.einsum("gij,gji->g", lead,
                                   np.broadcast_to(x, lead.shape))
         return out

@@ -238,8 +238,8 @@ class ModelSpec:
 
     ``bath`` carries the bare coupling operator; the scalar ``g`` is folded
     into the engine's one grid table of the bath, ``correlator_table(bath,
-    times, g, max_order)``, so every order-n object scales as g^n.  The spec is
-    immutable (engines are cached per spec); derive variants with
+    times, g, max_order)``, so every order-n object scales as g^n.  The
+    spec is immutable (engines are cached per spec); derive variants with
     ``dataclasses.replace``.
     """
 
@@ -320,8 +320,7 @@ class GeneratorEngine:
         self.quad = quad
         self.grid = quad.grid
         self.a_tab = build_system_superops(model, self.grid)
-        # an exact table keeps the levels that a chain of up to max_order
-        # slots can visit
+        # an exact table keeps only the levels that its chains can reach
         self.ctab = correlator_table(model.bath, self.grid.times, model.g,
                                      quad.max_order)
         # the largest chain that _sweep serves: a Gaussian correlator does
@@ -417,8 +416,7 @@ class GeneratorEngine:
         K^(n-1) for chains of up to n = ``sweep_slots`` slots, of every
         level's chains in turn; within level L the slot-1 branch of chain
         ``idx`` is ``idx % K``.  On an exact bath (phi_j, rho_E) is the
-        table's, on the d_R levels that a chain of max_order slots can
-        visit.  See the module docstring for the recurrence.
+        table's.  See the module docstring for the recurrence.
         """
         lead = self.a_tab[MINUS]
         m1, d2 = self.grid.M + 1, self.d2
@@ -563,7 +561,8 @@ class GeneratorEngine:
         wfac = fac * self.wb[:, None]
         out = np.empty((m1, 3, cols), dtype=complex)
         if self._exact:
-            phi, half = self.ctab.phi_tab, 0.5 * self.ctab.rho_e
+            phi, rho = self.ctab.phi_tab, self.ctab.rho_e
+            de = rho.shape[0]
         else:
             cc, mean = self.ctab.cc, self.ctab.mvec
         # the earlier blocks' (d_R^2, K d^4) matrix (exact) or K d^4 row of
@@ -575,8 +574,8 @@ class GeneratorEngine:
             weighted = wfac[:, lo:hi].reshape(2 * n, -1)
             if self._exact:
                 rows = phi[lo:hi].reshape(n, -1)
-                prod = (phi[lo:hi].reshape(-1, len(half)) @ half).reshape(
-                    phi[lo:hi].shape)
+                prod = phi[lo:hi].reshape(-1, de) @ (0.5 * rho)
+                prod = prod.reshape(n, de, de)
                 # Tr(phi_a Z) = vec(phi_a) . vec(Z^T), and Q_b^T = conj(P_b):
                 # gt[a, b] = Tr(phi_a Q_b) = g[b, a]
                 qt = np.conjugate(prod, out=prod).reshape(n, -1)
