@@ -378,6 +378,8 @@ class ExactCorrelatorTable(_GridTable):
     over closed walks of n links from that support, so every chain of up
     to max_order slots stays exact.  Only exact zeros cut a link; the
     default keeps every level.  The phases are built in the table itself.
+    ``mvec[j] = Tr(phi_tab[j] rho_e)``, built with them, is the first
+    moment g <phi(t_j)>, as a Gaussian table's ``mvec`` is its mean.
     """
 
     # chain states are built in batches of at most this many matrix elements
@@ -396,6 +398,7 @@ class ExactCorrelatorTable(_GridTable):
             e, phi_e, self.rho_e = (e[keep], phi_e[np.ix_(keep, keep)],
                                     self.rho_e[np.ix_(keep, keep)])
         self.phi_tab = _phased(phi_e, e, self.times)
+        self.mvec = np.einsum("jab,ba->j", self.phi_tab, self.rho_e)
 
     def _chain(self, signs, idx):
         """Chain value with broadcast grid-index arguments.
@@ -516,8 +519,10 @@ def boson_mode_bath(omega, n_max, *, beta=None, shift=0.0):
     beta=None (or +inf) gives the vacuum and beta=-inf the fully inverted
     state; ``shift`` adds a scalar to the coupling operator, which turns on
     odd moments while keeping the state stationary.  The scalar coupling g
-    is ``ModelSpec.g``.
+    is ``ModelSpec.g``.  ``n_max >= 0`` is the top level kept.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     dim = n_max + 1
     n = np.arange(dim)
     a = np.diag(np.sqrt(n[1:]), k=1)

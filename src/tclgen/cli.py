@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: terms, count, evaluate, propagate, oracle, compare.  Numeric
-tasks read a strict-schema JSON config (unknown keys are rejected so
-experiment files stay self-documenting) and write CSV files plus a JSON
-summary.  All floats are printed as %.12e and iteration orders are fixed,
-so output is byte-reproducible for a given config.
+tasks read a strict-schema UTF-8 JSON config (unknown and repeated keys
+are rejected so experiment files stay self-documenting) and write CSV files
+plus a JSON summary.  All floats are printed as %.12e and iteration orders
+are fixed, so output is byte-reproducible for a given config.
 
 Exit codes: 0 success, 2 config or usage error, 3 numerical validation
 failure (for example a non-Hermitian input matrix).
@@ -25,16 +25,33 @@ from tclgen import baths, oracle, propagate, superops, terms
 
 
 class ConfigError(Exception):
-    pass
+    """A refusal with exit code 2, printed on one line after ``label``."""
+
+    label = "config error"
+
+
+class OutputError(ConfigError):
+    label = "error"
 
 
 # ---------------------------------------------------------------------------
 # strict config parsing
 # ---------------------------------------------------------------------------
 
+class _Section(dict):
+    """A JSON object that remembers the keys its text repeats."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        keys = [key for key, _ in pairs]
+        self.repeated = sorted({key for key in keys if keys.count(key) > 1})
+
+
 def _require_keys(section, mapping, required, optional=()):
     if not isinstance(mapping, dict):
         raise ConfigError(f"{section} must be an object")
+    if getattr(mapping, "repeated", None):
+        raise ConfigError(f"repeated keys in {section}: {mapping.repeated}")
     unknown = set(mapping) - set(required) - set(optional)
     if unknown:
         raise ConfigError(f"unknown keys in {section}: {sorted(unknown)}")
@@ -43,10 +60,12 @@ def _require_keys(section, mapping, required, optional=()):
         raise ConfigError(f"missing keys in {section}: {sorted(missing)}")
 
 
-def _integer(section, value):
-    """An integer config value; floats and booleans are rejected."""
+def _integer(section, value, least=None):
+    """An integer config value of at least ``least``; no float or bool."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{section} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{section} must be >= {least}")
     return value
 
 
@@ -97,21 +116,16 @@ def _parse_bath(cfg, T):
         return baths.ExactBath(_parse_matrix("bath.H_E", cfg["H_E"]),
                                _parse_matrix("bath.phi", cfg["phi"]),
                                _parse_matrix("bath.rho_E", cfg["rho_E"]))
-    if kind == "boson-mode":
-        _require_keys("bath(boson-mode)", cfg, ("type", "omega", "n_max"),
-                      ("beta", "shift"))
-        return baths.boson_mode_bath(_number("bath.omega", cfg["omega"]),
-                                     _integer("bath.n_max", cfg["n_max"]),
-                                     beta=beta,
-                                     shift=_number("bath.shift",
-                                                   cfg.get("shift", 0.0)))
-    if kind == "dephasing-qubit":
-        # vacuum single mode; the canonical dephasing environment
-        _require_keys("bath(dephasing-qubit)", cfg, ("type",),
-                      ("omega", "n_max"))
+    if kind in ("boson-mode", "dephasing-qubit"):
+        # a dephasing qubit is the canonical dephasing environment: a vacuum
+        # single mode with a default omega and n_max
+        _require_keys(f"bath({kind})", cfg, *(
+            (("type", "omega", "n_max"), ("beta", "shift"))
+            if kind == "boson-mode" else (("type",), ("omega", "n_max"))))
         return baths.boson_mode_bath(
             _number("bath.omega", cfg.get("omega", 1.0)),
-            _integer("bath.n_max", cfg.get("n_max", 6)), beta=None)
+            _integer("bath.n_max", cfg.get("n_max", 6), 0), beta=beta,
+            shift=_number("bath.shift", cfg.get("shift", 0.0)))
     if kind == "gaussian":
         _require_keys("bath(gaussian)", cfg, ("type",),
                       ("two_point", "two_point_csv", "omega", "beta"))
@@ -185,12 +199,14 @@ def _two_point_from_csv(path, T):
 
 def load_config(path):
     try:
-        with open(path) as fh:
-            cfg = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh, object_pairs_hook=_Section)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8: {exc}") from exc
     _require_keys("config", cfg, ("model", "bath", "grid", "order"),
                   ("adjoint", "path", "couplings"))
     mcfg = cfg["model"]
@@ -199,9 +215,7 @@ def load_config(path):
     d_s = _integer("model.d_S", mcfg["d_S"])
     gcfg = cfg["grid"]
     _require_keys("grid", gcfg, ("T", "M"))
-    order = _integer("order", cfg["order"])
-    if order < 1:
-        raise ConfigError("order must be >= 1")
+    order = _integer("order", cfg["order"], 1)
     parsed = {
         "H_S": _parse_matrix("model.H_S", mcfg["H_S"], d_s),
         "A": _parse_matrix("model.A", mcfg["A"], d_s),
@@ -237,6 +251,13 @@ def _build_problem(parsed):
     grid = superops.Grid(parsed["T"], parsed["M"])
     quad = superops.QuadratureConfig(grid, max_order=parsed["order"])
     return model, grid, quad
+
+
+def _given(parsed, name, task):
+    """The config's ``model.<name>``, which ``task`` cannot run without."""
+    if parsed[name] is None:
+        raise ConfigError(f"{task} needs model.{name}")
+    return parsed[name]
 
 
 def _gen_path(parsed):
@@ -275,11 +296,12 @@ def cmd_count(args):
 
 
 def _write(out_dir, name, text):
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        fh.write(text)
-    return path
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, name), "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write --out {out_dir!r}: {exc}") from exc
 
 
 # the refusal of a run whose results are not finite, before any file is
@@ -324,17 +346,13 @@ def cmd_evaluate(args, parsed):
 def cmd_propagate(args, parsed):
     model, grid, quad = _build_problem(parsed)
     if parsed["adjoint"]:
-        if parsed["observable"] is None:
-            raise ConfigError("adjoint propagation needs model.observable")
-        traj = propagate.propagate_observable(model, parsed["observable"],
-                                              grid, parsed["order"], quad=quad,
-                                              path=_gen_path(parsed))
+        run, start = propagate.propagate_observable, _given(
+            parsed, "observable", "adjoint propagation")
     else:
-        if parsed["rho0"] is None:
-            raise ConfigError("state propagation needs model.rho0")
-        traj = propagate.propagate_state(model, parsed["rho0"], grid,
-                                         parsed["order"], quad=quad,
-                                         path=_gen_path(parsed))
+        run, start = propagate.propagate_state, _given(
+            parsed, "rho0", "state propagation")
+    traj = run(model, start, grid, parsed["order"], quad=quad,
+               path=_gen_path(parsed))
     propagate.require_finite(OVERFLOWED.format("trajectory"), traj.payload,
                              traj.trace_dev, traj.herm_residual,
                              traj.min_eig, traj.unitality_dev)
@@ -360,9 +378,7 @@ def cmd_propagate(args, parsed):
 
 def cmd_oracle(args, parsed):
     model, grid, _ = _build_problem(parsed)
-    if parsed["rho0"] is None:
-        raise ConfigError("the oracle needs model.rho0")
-    full = oracle.FullModel(model, parsed["rho0"])
+    full = oracle.FullModel(model, _given(parsed, "rho0", "the oracle"))
     traj = oracle.exact_reduced_trajectory(full, grid)
     _write(args.out, "trajectory.csv", propagate.trajectory_to_csv(traj))
     _summary(args.out, {
@@ -377,9 +393,7 @@ def cmd_oracle(args, parsed):
 
 def cmd_compare(args, parsed):
     model, grid, quad = _build_problem(parsed)
-    if parsed["rho0"] is None:
-        raise ConfigError("compare needs model.rho0")
-    problem = model, parsed["rho0"], grid, parsed["order"]
+    problem = model, _given(parsed, "rho0", "compare"), grid, parsed["order"]
     err, series = oracle.tcl_vs_exact_error(*problem, quad, _gen_path(parsed))
     scaling = None
     if parsed["couplings"]:
@@ -434,13 +448,16 @@ def main(argv=None):
     handler = {"evaluate": cmd_evaluate, "propagate": cmd_propagate,
                "oracle": cmd_oracle, "compare": cmd_compare}[args.command]
     try:
+        if not args.out or (os.path.exists(args.out)
+                            and not os.path.isdir(args.out)):
+            raise OutputError(f"--out {args.out!r} is not a directory")
         parsed = load_config(args.config)
         # an overflowing run is refused with exit 3 below, so numpy's
         # overflow warnings on the way there would only be noise
         with np.errstate(over="ignore", invalid="ignore"):
             return handler(args, parsed)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"{exc.label}: {exc}", file=sys.stderr)
         return 2
     except (ValueError, TypeError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -30,16 +30,10 @@ from tclgen.propagate import (
     require_finite,
     truncated_states,
 )
-from tclgen.superops import MATRIX_RECURSION, apply_superop, evaluate_mu
+from tclgen.superops import MATRIX_RECURSION, apply_superop, evaluate_mu, kron
 from tclgen.terms import ADJOINT, SCHRODINGER
 
 DESK_DIM_BOUND = 4096
-
-
-def _kron(a, b):
-    """``np.kron`` of two square matrices, bit for bit, broadcast at once."""
-    n = len(a) * len(b)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
 
 
 @dataclass
@@ -69,10 +63,10 @@ class FullModel:
         if not any(m.imag.any() for m in mats):
             mats = tuple(m.real for m in mats)
         h_s, a, h_e, phi = mats
-        self.H_total = (_kron(h_s, np.eye(self.d_E))
-                        + _kron(np.eye(self.d_S), h_e)
-                        + self.model.g * _kron(a, phi))
-        self.rho_total0 = _kron(self.rho_S0, bath.rho_E)
+        self.H_total = (kron(h_s, np.eye(self.d_E))
+                        + kron(np.eye(self.d_S), h_e)
+                        + self.model.g * kron(a, phi))
+        self.rho_total0 = kron(self.rho_S0, bath.rho_E)
 
 
 def exact_reduced_states(full, grid):

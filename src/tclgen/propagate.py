@@ -60,10 +60,9 @@ class Trajectory:
 def _monitors(payload, trace_ref):
     traces = np.einsum("tii->t", payload)
     trace_dev = np.abs(traces - trace_ref)
-    herm = payload - np.conj(np.swapaxes(payload, 1, 2))
-    herm_residual = np.linalg.norm(herm, axis=(1, 2))
-    hermitized = 0.5 * (payload + np.conj(np.swapaxes(payload, 1, 2)))
-    min_eig = np.linalg.eigvalsh(hermitized)[:, 0]
+    adj = np.conj(np.swapaxes(payload, 1, 2))
+    herm_residual = np.linalg.norm(payload - adj, axis=(1, 2))
+    min_eig = np.linalg.eigvalsh(0.5 * (payload + adj))[:, 0]
     return trace_dev, herm_residual, min_eig
 
 
@@ -109,19 +108,21 @@ def _rk4_run(l_tab, x0, h):
     return out if one else out[..., 0]
 
 
-def _hermitian_operator(x, name):
-    """``x`` as a complex array, refused unless finite and Hermitian."""
+def _hermitian_operator(x, name, d):
+    """``x`` as a complex array, refused unless finite, Hermitian, d x d."""
     x = np.asarray(x, dtype=complex)
     # before the tolerance checks, which NaN fails silently
     if not np.isfinite(x).all():
         raise ValueError(f"{name} must be finite")
     if np.linalg.norm(x - x.conj().T) > PSD_TOL:
         raise ValueError(f"{name} must be Hermitian")
+    if x.shape[0] != d:
+        raise ValueError(f"{name} dimension does not match the model")
     return x
 
 
-def _validate_state(rho0):
-    rho0 = _hermitian_operator(rho0, "rho0")
+def _validate_state(rho0, d):
+    rho0 = _hermitian_operator(rho0, "rho0", d)
     if abs(np.trace(rho0) - 1.0) > PSD_TOL:
         raise ValueError("rho0 must have unit trace")
     if np.linalg.eigvalsh(rho0).min() < -PSD_TOL:
@@ -152,10 +153,8 @@ def truncated_states(model, rho0, grid, N, quad=None, path=MATRIX_RECURSION):
     This is ``propagate_state``'s payload, bit for bit, without its
     monitors.
     """
-    rho0 = _validate_state(rho0)
     d = model.d_S
-    if rho0.shape[0] != d:
-        raise ValueError("rho0 dimension does not match the model")
+    rho0 = _validate_state(rho0, d)
     return _run(model, rho0, grid, N, quad, path,
                 SCHRODINGER).reshape(-1, d, d)
 
@@ -171,10 +170,8 @@ def propagate_observable(model, O0, grid, N, quad=None, path=MATRIX_RECURSION):
 
     The identity is carried beside ``O0`` for the unitality deviation.
     """
-    O0 = _hermitian_operator(O0, "O0")
     d = model.d_S
-    if O0.shape[0] != d:
-        raise ValueError("O0 dimension does not match the model")
+    O0 = _hermitian_operator(O0, "O0", d)
     run = _run(model, np.stack((O0, np.eye(d))), grid, N, quad, path, ADJOINT)
     payload = run[:, 0].reshape(-1, d, d)
     return Trajectory(grid.times.copy(), payload,

@@ -4,7 +4,8 @@ Vectorization convention (fixed once for the whole package): operators are
 flattened row-major, ``vec(rho) = rho.reshape(-1)``, so left multiplication
 is ``X_L = kron(X, I)`` and right multiplication is ``X_R = kron(I, X.T)``,
 of one matrix or of each matrix of a stack.  A superoperator is the (d^2,
-d^2) complex matrix acting on such vectors.
+d^2) complex matrix acting on such vectors.  ``kron``, the package's one
+Kronecker product, also builds the oracle's composite matrices.
 
 Quadrature: all integrals run over the uniform grid restricted to [0, t_i]
 with trapezoid weights per variable; the descending time order inside a
@@ -36,16 +37,13 @@ order.  L_n is not mapped, as the dual reverses products.
 Chains of one and two slots on either bath, and exact-bath chains of any
 size, come from one ``_sweep`` per branch set.  Exact-bath chains run on
 the engine's one table, ``correlator_table`` built with max_order: the
-(phi_j, rho_E) of the eigenbasis of H_E on the d_R <= d_E levels within
-max_order // 2 links of the support of rho_E.  A chain of n slots traced
-on rho_E is a sum over walks of n links that start and end on that
-support, and only exact zeros of phi cut a link, so the dropped levels
-change no chain of up to max_order slots: on a vacuum boson mode d_R =
-min(max_order // 2 + 1, d_E), and a bath whose state has full support
-keeps d_R = d_E.  A chain of m slots is carried from the inside out as
-running joint system x bath states of shape (d^2, d^2, d_R, d_R).  An
-inner slot at t_j applies the operator of its branch k, ``Op_k(j)[Y] =
-left_k(t_j) (phi_j Y)/2 + right_k(t_j) (Y phi_j)/2``::
+(phi_j, rho_E) of the eigenbasis of H_E on the d_R <= d_E levels that a
+chain of up to max_order slots can reach (``ExactCorrelatorTable``).  On a
+vacuum boson mode d_R = min(max_order // 2 + 1, d_E), and a bath whose
+state has full support keeps d_R = d_E.  A chain of m slots is carried
+from the inside out as running joint system x bath states of shape (d^2,
+d^2, d_R, d_R).  An inner slot at t_j applies the operator of its branch
+k, ``Op_k(j)[Y] = left_k(t_j) (phi_j Y)/2 + right_k(t_j) (Y phi_j)/2``::
 
     X_{m-1}(j) = D_{m-1}(j) = Op(j)[rho_E]
     X_k(j) = Op(j)[E_{k+1}(j) + wb(j)/2 X_{k+1}(j)]
@@ -62,26 +60,18 @@ traced and costs no d_R^3 work.  The states of slot k = m-1-L do not
 depend on m: level L of a sweep holds them for all K^L branch strings, and
 its traced top gives every chain of size L+1.  Level 1 is two outer
 products per branch, and each deeper level applies every ``Op_k`` to
-``[E + wb/2 X, E + c/2 D]``.  The levels run over blocks of grid points,
-as many as keep a block's states and temporaries within a cache-sized
-budget: each step is one batched NumPy expression on plain arrays per
-block, about a dozen per level, and only the running sum E takes one call
-per point and level.  Nothing but the traces and each level's carried E
-outlives a block.
+``[E + wb/2 X, E + c/2 D]``.  The levels run over blocks of grid points
+that fit a cache-sized budget, a few batched NumPy expressions per block
+and level (``_level_traces``).
 
-Level 0 is the first moment ``Tr(phi_j rho_E)``, a Gaussian table's mean.
-When two slots are the longest chain of a sweep, no deeper level reads the
-level-1 states, so none is built: for any bath ``Tr_E[phi_a
-Op_k(b)[rho_E]] = left_k(b) g[a, b] + right_k(b) g[b, a]`` needs only the
-uncentred two-point table ``g[a, b] = <phi_a phi_b>/2``, and
-``_pair_traces`` sums it in blocks of 3 K d_S^4 grid points.  An exact
-bath carries the earlier blocks as one (d_R^2, K d_S^4) matrix, in O(M (K
-d_S^4 d_R^2 + d_R^3)) time; a Gaussian one reads them from row and column
-slices of its centred (M+1)^2 table, views that are not copied, plus a
-carried row for the mean's rank-one part, in O(M^2 K d_S^4) time and O(M
-K d_S^4) memory.  Neither loops over grid points.  An exact sweep runs to
-max_order; a Gaussian sweep stops at two slots, as its correlator does not
-factor into slot states.
+Level 0 is the table's first moment ``mvec``: ``Tr(phi_j rho_E)``, built
+with an exact table, or a Gaussian table's mean.  When two slots are the
+longest chain of a sweep, no deeper level reads the level-1 states, so
+none is built: ``_pair_traces`` takes level 1 from the uncentred two-point
+table ``g[a, b] = <phi_a phi_b>/2`` alone, with no loop over grid points,
+in O(M (K d_S^4 d_R^2 + d_R^3)) time on an exact bath and O(M^2 K d_S^4)
+on a Gaussian one.  An exact sweep runs to max_order; a Gaussian sweep
+stops at two slots, as its correlator does not factor into slot states.
 
 * Clusters, K = 2 (the term-expansion path): a MINUS slot is ``A^-
   {phi_j, Y}/2`` and a PLUS slot ``A^+ [phi_j, Y]/2``, as the bath string
@@ -113,9 +103,7 @@ O(j0^(m-1)) entries, so a free cluster costs O(M^m) time for all
 endpoints together, as much as one endpoint evaluated on its own, and an
 engine on a Gaussian bath refuses a ``max_order`` above
 ``GAUSSIAN_MAX_SLOTS``.  No box is kept beyond its j0.  The one- and
-two-slot clusters, and mu_1 and mu_2 with their derivatives, come from the
-sweep at every max_order, in O(M^2 d_S^4) time for all endpoints
-together.
+two-slot clusters, and mu_1 and mu_2, come from the sweep.
 
 Expansion objects on whole-grid stacks: a term is the product of its
 cluster stacks, one batched matmul per factor.  The momenta and their
@@ -169,12 +157,23 @@ def unvec(v, d):
     return np.asarray(v).reshape(d, d)
 
 
+def kron(a, b):
+    """``np.kron`` of the last two axes of arrays, leading axes broadcast.
+
+    Each entry is the one product ``a[..., i, j] * b[..., k, l]``, so the
+    bits, signed zeros included, are those of ``np.kron``.
+    """
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    s = out.shape
+    return out.reshape(s[:-4] + (s[-4] * s[-3], s[-2] * s[-1]))
+
+
 def left_mult(x):
-    return np.kron(x, np.eye(x.shape[-1]))
+    return kron(x, np.eye(x.shape[-1]))
 
 
 def right_mult(x):
-    return np.kron(np.eye(x.shape[-1]), np.swapaxes(x, -1, -2))
+    return kron(np.eye(x.shape[-1]), np.swapaxes(x, -1, -2))
 
 
 def commutator_super(x):
@@ -217,8 +216,8 @@ class QuadratureConfig:
     Any ``max_order >= 1`` is accepted with ``M >= 2*max_order``.  An exact
     bath serves every order; an engine on a Gaussian bath refuses a
     ``max_order`` above ``GeneratorEngine.GAUSSIAN_MAX_SLOTS`` (4), since
-    a Gaussian cluster of m >= 3 slots costs O(M^m).  Its clusters of one
-    and two slots cost O(M^2 d_S^4) for all endpoints together.
+    a Gaussian cluster of m >= 3 slots costs O(M^m), and its clusters of
+    one and two slots O(M^2 d_S^4) for all endpoints together.
     """
 
     grid: Grid
@@ -275,9 +274,9 @@ def build_system_superops(model, grid):
     Interaction picture: A(tau) = exp(i H_S tau) A exp(-i H_S tau).
     """
     a_t = interaction_picture(model.H_S, model.A, grid.times)
+    left, right = left_mult(a_t), right_mult(a_t)
     # kron gives 0 * x = -0.0 for x < 0; adding +0.0 makes every zero +0.0
-    return {PLUS: anticommutator_super(a_t) + 0.0,
-            MINUS: commutator_super(a_t) + 0.0}
+    return {PLUS: left + right + 0.0, MINUS: left - right + 0.0}
 
 
 def _ordering(a, b):
@@ -428,10 +427,8 @@ class GeneratorEngine:
                   else self._level_traces(left, right))
         counts = [tr.shape[2] for tr in traces]
         terms = np.empty((3, 1 + sum(counts), m1, d2, d2), dtype=complex)
-        # level 0: the first moment Tr(phi_j rho_E), a Gaussian table's mean
-        first = (np.einsum("jab,ba->j", self.ctab.phi_tab, self.ctab.rho_e)
-                 if self._exact else self.ctab.mvec)
-        terms[:, 0] = first[:, None, None] * lead
+        # level 0: the table's first moment, Tr(phi_j rho_E) or the mean
+        terms[:, 0] = self.ctab.mvec[:, None, None] * lead
         lo = 1
         for n in counts:
             # each level's traces are dropped once used

@@ -95,22 +95,16 @@ class ClusteredTerm:
 
     def cluster_slices(self):
         """Slice objects selecting each cluster's slots, left to right."""
-        out, start = [], 0
-        for size in self.clusters:
-            out.append(slice(start, start + size))
-            start += size
-        return out
+        ends = itertools.accumulate(self.clusters)
+        return [slice(e - size, e) for size, e in zip(self.clusters, ends)]
 
     def cluster_signs(self):
         return [self.signs[s] for s in self.cluster_slices()]
 
     def is_admissible(self):
         """True unless some cluster is killed by the null rule."""
-        for block in self.cluster_signs():
-            anchor = block[0] if self.kind == SCHRODINGER else block[-1]
-            if anchor != MINUS:
-                return False
-        return True
+        anchor = 0 if self.kind == SCHRODINGER else -1
+        return all(block[anchor] == MINUS for block in self.cluster_signs())
 
     def reversed(self):
         """Mirror image: slot sequence and clustering both reversed."""
@@ -290,13 +284,8 @@ def _composition_from_removed(n, removed):
 
     Connection j joins slots j+1 and j+2 (0-based j in range(n-1)).
     """
-    cuts = sorted(removed)
-    sizes, start = [], 0
-    for c in cuts:
-        sizes.append(c + 1 - start)
-        start = c + 1
-    sizes.append(n - start)
-    return tuple(sizes)
+    bounds = [0] + [c + 1 for c in sorted(removed)] + [n]
+    return tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
 def diagram_generator_terms(n):

@@ -123,6 +123,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="beta \\* omega > 0"):
             thermal_mode_two_point(1.0, beta=-np.inf)
 
+    @pytest.mark.parametrize("beta", [None, 1.0, -np.inf])
+    def test_boson_mode_refuses_a_negative_n_max(self, beta):
+        # n_max = -1 used to index an empty state (IndexError) or reduce
+        # an empty array; n_max = 0 is the one-level mode
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            boson_mode_bath(1.0, -1, beta=beta)
+        mode = boson_mode_bath(1.0, 0, beta=beta, shift=0.5)
+        np.testing.assert_array_equal(mode.rho_E, [[1.0]])
+        np.testing.assert_array_equal(mode.phi, [[0.5]])
+
     def test_thermal_kernel_needs_positive_beta_omega(self):
         # at beta omega = 0 the occupation diverges, below it is negative
         # and C(t, t) < 0

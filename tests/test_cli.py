@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tclgen
 from tclgen.cli import main
@@ -789,3 +794,210 @@ class TestErrorPaths:
         cfg["grid"]["M"] = 40.5
         assert main(["propagate", "--config", config_path(cfg),
                      "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("bath", [
+        {"type": "boson-mode", "omega": 1.0, "n_max": -1},
+        {"type": "boson-mode", "omega": 1.0, "n_max": -1, "beta": 1.0},
+        {"type": "dephasing-qubit", "n_max": -1},
+    ], ids=["vacuum", "thermal", "dephasing-qubit"])
+    def test_negative_n_max_is_config_error(self, config_path, tmp_path,
+                                            capsys, bath):
+        # it used to end in an IndexError traceback (vacuum) or numpy's
+        # empty-reduction error (finite beta)
+        cfg = dephasing_config(grid={"T": 1.0, "M": 20}, bath=bath)
+        assert main(["compare", "--config", config_path(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "bath.n_max" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+        # a one-level mode is still a bath
+        bath["n_max"] = 0
+        cfg = dephasing_config(grid={"T": 1.0, "M": 20}, bath=bath)
+        assert main(["compare", "--config", config_path(cfg),
+                     "--out", str(tmp_path / "y")]) == 0
+
+    def test_out_naming_a_file_is_refused_before_the_run(
+            self, config_path, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "taken"
+        out.write_text("keep me")
+
+        def no_run(parsed):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr("tclgen.cli._build_problem", no_run)
+        for name in (str(out), ""):
+            assert main(["evaluate", "--config",
+                         config_path(dephasing_config()),
+                         "--out", name]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: --out {name!r} is not a directory\n"
+        assert out.read_text() == "keep me"
+
+    def test_out_that_cannot_be_created_is_refused(self, config_path,
+                                                   tmp_path, capsys):
+        # a path below a regular file exists nowhere, so only the write
+        # finds it unusable
+        (tmp_path / "file").write_text("")
+        out = str(tmp_path / "file" / "sub")
+        cfg = dephasing_config(grid={"T": 1.0, "M": 20})
+        assert main(["propagate", "--config", config_path(cfg),
+                     "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write ")
+        assert f"--out {out!r}" in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(dephasing_config()).encode()[:-1]
+                         + b', "caf\xe9": 1}')
+        assert main(["propagate", "--config", str(path),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config is not UTF-8: ")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("config", "order", 3),
+        ("config", "order", 2),
+        ("model", "g", 0.1),
+        ("bath", "n_max", 4),
+        ("grid", "M", 20),
+    ])
+    def test_repeated_key_is_config_error(self, tmp_path, capsys, section,
+                                          key, value):
+        # json.load keeps a repeated key's last value, silently; the same
+        # value twice is refused too
+        text = json.dumps(dephasing_config(grid={"T": 1.0, "M": 20}))
+        head = "{" if section == "config" else f'"{section}": {{'
+        text = text.replace(head, f"{head}{json.dumps(key)}: {value}, ", 1)
+        path = tmp_path / "twice.json"
+        path.write_text(text)
+        assert main(["evaluate", "--config", str(path),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: repeated keys in {section}: [{key!r}]\n")
+        assert not (tmp_path / "x").exists()
+
+
+class JSONObject(list):
+    """A JSON object as a list of [key, value] members; keys may repeat."""
+
+
+def _members(value):
+    if isinstance(value, dict):
+        return JSONObject([k, _members(v)] for k, v in value.items())
+    if isinstance(value, list):
+        return [_members(v) for v in value]
+    return value
+
+
+def _text(node):
+    """JSON text of a member tree, NaN written as the literal NaN."""
+    if isinstance(node, JSONObject):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_text(v)}"
+                               for k, v in node) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(map(_text, node)) + "]"
+    return json.dumps(node)
+
+
+def _sites(node, path=()):
+    """(path, value) of every value in the tree, the root first."""
+    yield path, node
+    items = (node if isinstance(node, JSONObject)
+             else enumerate(node) if isinstance(node, list) else ())
+    for i, (_, child) in enumerate(items):
+        yield from _sites(child, path + (i,))
+
+
+def _parent(root, path):
+    """The container of ``path`` and a setter of its value."""
+    node = root
+    for i in path[:-1]:
+        node = node[i][1] if isinstance(node, JSONObject) else node[i]
+    i = path[-1]
+    if isinstance(node, JSONObject):
+        return node, lambda v: node[i].__setitem__(1, v)
+    return node, lambda v: node.__setitem__(i, v)
+
+
+# schema keys and small values: nothing added makes a run larger
+KEYS = ["model", "bath", "grid", "order", "adjoint", "path", "couplings",
+        "d_S", "H_S", "A", "g", "rho0", "observable", "T", "M", "type",
+        "omega", "beta", "n_max", "shift", "two_point", "two_point_csv",
+        "H_E", "phi", "rho_E", "surprise"]
+SMALL = [-1, 0, 1, 0.5, -2.5, True, False, None, math.nan, "x", "terms",
+         "boson-mode", "gaussian", "exact", "single-mode-thermal", [],
+         {}, [0.05, 0.025], cplx(SZ)]
+NOT_A_NUMBER = [math.nan, "1", True, False, None]
+
+
+@st.composite
+def mutated_configs(draw):
+    """``configs/dephasing_qubit.json`` at M = 20 with one or two mutations."""
+    cfg = json.loads((Path(__file__).parent.parent / "configs"
+                      / "dephasing_qubit.json").read_text())
+    cfg["grid"]["M"] = 20
+    root = _members(cfg)
+    for _ in range(draw(st.integers(1, 2))):
+        sites = list(_sites(root))
+        members = [(p, v) for p, v in sites
+                   if p and isinstance(_parent(root, p)[0], JSONObject)]
+        objects = [v for _, v in sites if isinstance(v, JSONObject)]
+        # the integer fields; a matrix may hold integer entries too
+        ints = [(p, v) for p, v in members if type(v) is int]
+        numbers = [p for p, v in sites[1:] if type(v) in (int, float)]
+        how = draw(st.sampled_from(["negative", "smaller", "not-a-number",
+                                    "retype", "add", "repeat", "drop"]))
+        if how in ("drop", "repeat") and members:
+            path, value = draw(st.sampled_from(members))
+            obj, _ = _parent(root, path)
+            if how == "drop":
+                del obj[path[-1]]
+            else:
+                again = draw(st.sampled_from([value] + SMALL))
+                obj.append([obj[path[-1]][0], again])
+        elif how == "add" and objects:
+            draw(st.sampled_from(objects)).append(
+                [draw(st.sampled_from(KEYS)), draw(st.sampled_from(SMALL))])
+        elif how == "retype" and members:
+            path, value = draw(st.sampled_from(members))
+            _parent(root, path)[1](draw(st.sampled_from(
+                [v for v in SMALL if type(v) is not type(value)])))
+        elif how in ("negative", "smaller") and ints:
+            # the edge values below an integer
+            path, value = draw(st.sampled_from(ints))
+            edges = ((-1, -abs(value) - 1) if how == "negative"
+                     else (value - 1, value // 2, 1, 0))
+            _parent(root, path)[1](draw(st.sampled_from(
+                [v for v in edges if v < value] or [value - 1])))
+        elif how == "not-a-number" and numbers:
+            path = draw(st.sampled_from(numbers))
+            _parent(root, path)[1](draw(st.sampled_from(NOT_A_NUMBER)))
+    return _text(root)
+
+
+class TestNoTraceback:
+    @settings(max_examples=300, deadline=None)
+    @given(text=mutated_configs(),
+           command=st.sampled_from(["evaluate", "propagate", "oracle",
+                                    "compare"]))
+    def test_a_mutated_config_never_ends_in_a_traceback(self, text,
+                                                        command):
+        # every mutation keeps the run at most as large as the base one,
+        # so each example costs milliseconds
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+            path.write_text(text)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(path),
+                             "--out", str(out)])
+            assert code in (0, 2, 3)
+            if code:
+                assert not out.exists()
+                assert err.getvalue().count("\n") == 1
