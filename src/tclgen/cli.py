@@ -203,7 +203,7 @@ def load_config(path):
             cfg = json.load(fh, object_pairs_hook=_Section)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config is not UTF-8: {exc}") from exc

@@ -849,6 +849,16 @@ class TestErrorPaths:
         assert f"--out {out!r}" in captured.err
         assert captured.err.count("\n") == 1
 
+    def test_deeply_nested_config_is_config_error(self, tmp_path, capsys):
+        # the JSON decoder's recursion limit used to end in a traceback
+        path = tmp_path / "deep.json"
+        path.write_text('{"model": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["evaluate", "--config", str(path),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid JSON: ")
+        assert err.count("\n") == 1
+
     def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
         path.write_bytes(json.dumps(dephasing_config()).encode()[:-1]
