@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import math
@@ -945,6 +946,11 @@ SMALL = [-1, 0, 1, 0.5, -2.5, True, False, None, math.nan, "x", "terms",
 NOT_A_NUMBER = [math.nan, "1", True, False, None]
 
 
+def _copy_of(values):
+    """One of ``values``, copied, so that a later mutation leaves it alone."""
+    return st.sampled_from(values).map(copy.deepcopy)
+
+
 @st.composite
 def mutated_configs(draw):
     """``configs/dephasing_qubit.json`` at M = 20 with one or two mutations."""
@@ -968,14 +974,14 @@ def mutated_configs(draw):
             if how == "drop":
                 del obj[path[-1]]
             else:
-                again = draw(st.sampled_from([value] + SMALL))
+                again = draw(_copy_of([value] + SMALL))
                 obj.append([obj[path[-1]][0], again])
         elif how == "add" and objects:
             draw(st.sampled_from(objects)).append(
-                [draw(st.sampled_from(KEYS)), draw(st.sampled_from(SMALL))])
+                [draw(st.sampled_from(KEYS)), draw(_copy_of(SMALL))])
         elif how == "retype" and members:
             path, value = draw(st.sampled_from(members))
-            _parent(root, path)[1](draw(st.sampled_from(
+            _parent(root, path)[1](draw(_copy_of(
                 [v for v in SMALL if type(v) is not type(value)])))
         elif how in ("negative", "smaller") and ints:
             # the edge values below an integer
